@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import EnumerationCapError, HazardError, IdentityError, TreeError
 from .filtration import (DEFAULT_ENUM_CAP, AdaptedProcess, FiniteTree, StoppingTime,
-                         _enumerate_stop_nodes, _vals, condexp, snell_envelope)
-from .european import EuroSolveReport, PayoffSpec, ReducedHazard
+                         _enumerate_stop_nodes, _vals, backward, forward, snell_envelope)
+from .european import EuroSolveReport, PayoffSpec, ReducedHazard, _martingale_increments
 
 
 @dataclass
@@ -80,22 +79,20 @@ def reflected_gbsde_solve(generator: str, coeff, payoff: PayoffSpec,
     if generator in ("linear",) and np.any(coeff_v <= 0.0):
         raise ValueError("lambda must be strictly positive")
 
-    v = np.empty(tree.n_nodes)
     dk = np.zeros(tree.n_nodes)
-    zinc = np.zeros(tree.n_nodes)
-    term = tree.level_slice(tree.n_periods)
-    v[term] = payoff.P.values[term]
-    for k in range(tree.n_periods - 1, -1, -1):
-        sl = tree.level_slice(k)
-        e = condexp(tree, v[tree.level_slice(k + 1)], k, "Q")
-        nxt = tree.level_nodes(k + 1)
-        zinc[nxt] = v[nxt] - e[tree.parent[nxt] - tree.level_start[k]]
-        a = coeff_v[sl] * hz.delta[sl]
-        y = _implicit_step(generator, e, payoff.R.values[sl], a)
-        v[sl] = np.maximum(obs[sl], y)
-        dk[sl] = v[sl] - y
+    cont = np.zeros(tree.n_nodes)
+
+    def step(sl, e):
+        cont[sl] = e
+        y = _implicit_step(generator, e, payoff.R.values[sl], coeff_v[sl] * hz.delta[sl])
+        val = np.maximum(obs[sl], y)
+        dk[sl] = val - y
+        return val
+
+    v = backward(tree, payoff.P.values, step)
     resid = (v - obs) * dk
-    return ReflectedSolveReport(AdaptedProcess(tree, v), dk, resid, zinc)
+    return ReflectedSolveReport(AdaptedProcess(tree, v), dk, resid,
+                                _martingale_increments(tree, v, cont))
 
 
 def penalized_american_upper(n: float, payoff: PayoffSpec, hz: ReducedHazard,
@@ -125,24 +122,18 @@ def phi_sweep_extrema(n: float, payoff: PayoffSpec, hz: ReducedHazard,
     limit; the sweep therefore reproduces the penalized upper (lower) scheme
     exactly, which callers assert.
     """
-    up = np.empty(tree.n_nodes)
-    lo = np.empty(tree.n_nodes)
-    term = tree.level_slice(tree.n_periods)
-    up[term] = payoff.P.values[term]
-    lo[term] = payoff.P.values[term]
-    for k in range(tree.n_periods - 1, -1, -1):
-        sl = tree.level_slice(k)
-        r = payoff.R.values[sl]
-        d = hz.delta[sl]
-        obs = payoff.P.values[sl]
-        e_up = condexp(tree, up[tree.level_slice(k + 1)], k, "Q")
-        a = n * d
-        y = np.where(r > e_up, (e_up + a * r) / (1.0 + a), e_up)
-        up[sl] = np.maximum(obs, y)
-        e_lo = condexp(tree, lo[tree.level_slice(k + 1)], k, "Q")
-        y = np.where(r < e_lo, (e_lo + a * r) / (1.0 + a), e_lo)
-        lo[sl] = np.maximum(obs, y)
-    return AdaptedProcess(tree, up), AdaptedProcess(tree, lo)
+    pv, rv = payoff.P.values, payoff.R.values
+
+    def step_up(sl, e):
+        r, a = rv[sl], n * hz.delta[sl]
+        return np.maximum(pv[sl], np.where(r > e, (e + a * r) / (1.0 + a), e))
+
+    def step_lo(sl, e):
+        r, a = rv[sl], n * hz.delta[sl]
+        return np.maximum(pv[sl], np.where(r < e, (e + a * r) / (1.0 + a), e))
+
+    return (AdaptedProcess(tree, backward(tree, pv, step_up)),
+            AdaptedProcess(tree, backward(tree, pv, step_lo)))
 
 
 # --------------------------------------------------------------------------
@@ -159,14 +150,9 @@ class RbsdeCompareReport:
 
 def _survival_from_delta(tree: FiniteTree, hz: ReducedHazard):
     """Resolvent survival account G = prod 1/(1 + delta) and its dA^o increments."""
-    G = np.ones(tree.n_nodes)
+    G = forward(tree, 1.0 / (1.0 + hz.delta[tree.parent]), np.multiply, 1.0)
     dAo = np.zeros(tree.n_nodes)
-    for k in range(1, tree.n_periods + 1):
-        nodes = tree.level_nodes(k)
-        par = tree.parent[nodes]
-        s = 1.0 / (1.0 + hz.delta[par])
-        G[nodes] = G[par] * s
-        dAo[nodes] = G[par] - G[nodes]
+    dAo[1:] = G[tree.parent[1:]] - G[1:]
     return G, dAo
 
 
@@ -183,11 +169,7 @@ def rbsde_vs_weighted_optstop(payoff: PayoffSpec, hz: ReducedHazard, tree: Finit
     if np.any(G <= 0.0):
         raise HazardError("survival account hit zero")
     # recovery is collected at the decision node of each step
-    racc = np.zeros(tree.n_nodes)
-    for k in range(1, tree.n_periods + 1):
-        nodes = tree.level_nodes(k)
-        par = tree.parent[nodes]
-        racc[nodes] = racc[par] + payoff.R.values[par] * dAo[nodes]
+    racc = forward(tree, payoff.R.values[tree.parent] * dAo, np.add, 0.0)
     xi = AdaptedProcess(tree, payoff.P.values * G + racc)
     snell, _ = snell_envelope(xi, "Q")
     weighted = (snell.values - racc) / G
@@ -240,20 +222,17 @@ def constrained_dynkin_game(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteT
         raise TreeError(f"P <= R violated on the hazard support at node {v}")
 
     upper = np.maximum(pv, rv)
-    v = np.empty(tree.n_nodes)
     sig = np.zeros(tree.n_nodes, dtype=bool)
     tau = np.zeros(tree.n_nodes, dtype=bool)
-    v[term] = pv[term]
-    sig[term] = True
-    tau[term] = True
-    for k in range(tree.n_periods - 1, -1, -1):
-        sl = tree.level_slice(k)
-        e = condexp(tree, v[tree.level_slice(k + 1)], k, "Q")
+
+    def step(sl, e):
         stop_max = np.maximum(pv[sl], e)
         val = np.where(early[sl], np.minimum(upper[sl], stop_max), stop_max)
-        v[sl] = val
         sig[sl] = pv[sl] >= val
         tau[sl] = early[sl] & (upper[sl] <= val)
+        return val
+
+    v = backward(tree, pv, step)
     game = GameValueReport(AdaptedProcess(tree, v),
                            StoppingTime(tree, sig | StoppingTime.horizon(tree).stop),
                            StoppingTime(tree, tau | StoppingTime.horizon(tree).stop),
@@ -285,8 +264,10 @@ def brute_force_game(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree,
 
     The maximizer ranges over all stopping times, the minimizer over
     support-valued ones.  Both orders must agree with each other and with the
-    backward-induction value (checked by the caller); the scan runs on the
-    jitted kernel when available.
+    backward-induction value (checked by the caller).  The payoff of a pair
+    is the minimizer's P-or-R on paths where tau <= sigma, else the
+    maximizer's P at sigma; the scan keeps, per row and per column, the
+    running minimum and maximum over the pairs.
     """
     all_mask = np.ones(tree.n_nodes, dtype=bool)
     sup_mask = hz.support_mask()
@@ -307,9 +288,16 @@ def brute_force_game(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree,
     pay_tau = upper[tau_nodes]
     w = tree.node_q[tree.leaves]
 
-    supinf, infsup, arg_i, arg_j = _kernels.game_saddle(sig_lvl, tau_lvl,
-                                                        pay_sig, pay_tau, w)
-    sigma = StoppingTime.from_stop_nodes(tree, np.unique(sig_nodes[arg_i]))
-    tau = StoppingTime.from_stop_nodes(tree, np.unique(tau_nodes[arg_j]))
+    row_min = np.full(sig_lvl.shape[0], np.inf)
+    col_max = np.empty(tau_lvl.shape[0])
+    base = pay_sig * w
+    for j in range(tau_lvl.shape[0]):
+        vals = np.where(tau_lvl[j] <= sig_lvl, pay_tau[j] * w, base).sum(axis=1)
+        col_max[j] = vals.max()
+        np.minimum(row_min, vals, out=row_min)
+    infsup = float(col_max.min())
+    supinf = float(row_min.max())
+    sigma = StoppingTime.from_stop_nodes(tree, np.unique(sig_nodes[int(row_min.argmax())]))
+    tau = StoppingTime.from_stop_nodes(tree, np.unique(tau_nodes[int(col_max.argmin())]))
     value = AdaptedProcess.constant(tree, 0.5 * (supinf + infsup))
     return GameValueReport(value, sigma, tau, infsup, supinf)

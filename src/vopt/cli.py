@@ -1,10 +1,11 @@
 """Command-line front end: run scenario suites, parameter sweeps, oracles.
 
-    vopt run <scenario.json> [--out DIR] [--threads K]
+    vopt run <scenario.json> [--out DIR]
     vopt sweep <scenario.json> --param delta_scale --values 0.5 1 2 [--out DIR]
     vopt oracle <scenario.json> [--out DIR]
 
-Exit code 0 iff every selected suite's residual is within its tolerance.
+Exit code 0 iff every selected suite's residual is within its tolerance,
+1 if a suite failed and 2 if the scenario is malformed.
 ``VOPT_OUT_DIR`` sets the default output directory.
 """
 
@@ -64,8 +65,7 @@ def _print_report(report: RunReport) -> None:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name:24s} residual {res.max_residual:.3e} "
               f"(tol {res.tolerance:.0e}, {res.elapsed:.2f}s)")
-    print(f"{'all suites passed' if report.passed else 'SUITE FAILURES PRESENT'} "
-          f"[kernel backend: {report.to_dict()['kernel_backend']}]")
+    print("all suites passed" if report.passed else "SUITE FAILURES PRESENT")
 
 
 def cmd_run(args) -> int:
@@ -75,7 +75,7 @@ def cmd_run(args) -> int:
     if not sc.suites:
         print("warning: empty suite list; nothing to do", file=sys.stderr)
         return 0
-    report = run_suites(sc, threads=args.threads)
+    report = run_suites(sc)
     _emit_run_artifacts(sc, report, sc.output_dir)
     _print_report(report)
     return 0 if report.passed else 1
@@ -131,7 +131,7 @@ def cmd_oracle(args) -> int:
     if args.out:
         sc.output_dir = args.out
     sc.suites = ["oracle-equivalence"]
-    report = run_suites(sc, threads=1)
+    report = run_suites(sc)
     reports.write_text(os.path.join(sc.output_dir, "oracle.json"),
                        reports.to_json(report.to_dict()) + "\n")
     _print_report(report)
@@ -147,7 +147,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the scenario's verification suites")
     p_run.add_argument("scenario")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="rerun the duality gap over a parameter grid")

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import HazardError, IdentityError, TreeError
-from .filtration import (AdaptedProcess, FiniteTree, StoppingTime, _vals, condexp,
-                         snell_envelope)
+from .filtration import (AdaptedProcess, FiniteTree, StoppingTime, _vals, backward,
+                         forward, snell_envelope)
 
 DELTA_BUDGET_CAP = 1e3
 
@@ -41,12 +40,12 @@ class ReducedHazard:
         d = np.asarray(self.delta, dtype=float)
         if d.shape != (self.tree.n_nodes,):
             raise HazardError("delta needs one value per node")
+        if not np.all(np.isfinite(d)):
+            raise HazardError(f"delta at node {int(np.flatnonzero(~np.isfinite(d))[0])} "
+                              "is not finite")
         if np.any(d < 0.0):
             raise HazardError("delta < 0")
-        totals = np.zeros(self.tree.n_nodes)
-        for k in range(1, self.tree.n_periods + 1):
-            nodes = self.tree.level_nodes(k)
-            totals[nodes] = totals[self.tree.parent[nodes]] + d[self.tree.parent[nodes]]
+        totals = forward(self.tree, d[self.tree.parent], np.add, 0.0)
         if np.any(totals > DELTA_BUDGET_CAP):
             warnings.warn(f"cumulative hazard exceeds {DELTA_BUDGET_CAP:g}; clipping",
                           RuntimeWarning, stacklevel=2)
@@ -74,9 +73,10 @@ class PayoffSpec:
 
     def __post_init__(self):
         for name, proc in (("P", self.P), ("R", self.R)):
-            v = proc.values
-            if np.any(v < 0.0) or not np.all(np.isfinite(v)):
-                raise TreeError(f"payoff {name} must be nonnegative and bounded")
+            bad = np.flatnonzero(~(np.isfinite(proc.values) & (proc.values >= 0.0)))
+            if bad.size:
+                raise TreeError(f"payoff {name} at node {int(bad[0])} must be nonnegative "
+                                "and bounded")
 
     @property
     def tree(self) -> FiniteTree:
@@ -107,27 +107,23 @@ def _lambda_values(tree: FiniteTree, lam) -> np.ndarray:
 
 
 def _stop_masks(tree: FiniteTree, sigma: StoppingTime | None):
-    """(stops_here, already_stopped) node masks for an exercise horizon."""
+    """(stops_here, anchor) for an exercise horizon: ``anchor[v]`` is the node
+    whose value ``v`` carries, the first stop node above it or ``v`` itself."""
     if sigma is None:
         sigma = StoppingTime.horizon(tree)
     stops = sigma.stop.copy()
-    frozen = np.zeros(tree.n_nodes, dtype=bool)
-    for k in range(1, tree.n_periods + 1):
-        nodes = tree.level_nodes(k)
-        par = tree.parent[nodes]
-        frozen[nodes] = frozen[par] | stops[par]
-    return stops, frozen
+    anchor = forward(tree, np.arange(tree.n_nodes),
+                     lambda up, own: np.where(stops[up], up, own), 0)
+    return stops, anchor
 
 
-def _freeze_after_stop(tree: FiniteTree, values: np.ndarray, stops: np.ndarray,
-                       frozen: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    for k in range(1, tree.n_periods + 1):
-        nodes = tree.level_nodes(k)
-        par = tree.parent[nodes]
-        take = frozen[nodes]
-        out[nodes[take]] = out[par[take]]
-    return out
+def _martingale_increments(tree: FiniteTree, value: np.ndarray, cont: np.ndarray
+                           ) -> np.ndarray:
+    """value - E[value | parent]: the martingale integrand of a backward solve."""
+    zinc = np.zeros(tree.n_nodes)
+    sl = slice(1, tree.n_nodes)
+    zinc[sl] = value[sl] - cont[tree.parent[sl]]
+    return zinc
 
 
 def _implicit_backward(tree: FiniteTree, payoff: PayoffSpec, delta: np.ndarray,
@@ -138,21 +134,18 @@ def _implicit_backward(tree: FiniteTree, payoff: PayoffSpec, delta: np.ndarray,
     nodes from continuation e, recovery r and step hazard d.  Returns the
     sigma-stopped value process and per-node martingale increments.
     """
-    stops, frozen = _stop_masks(tree, sigma)
-    v = np.empty(tree.n_nodes)
-    zinc = np.zeros(tree.n_nodes)
-    term = tree.level_slice(tree.n_periods)
-    v[term] = payoff.P.values[term]
-    for k in range(tree.n_periods - 1, -1, -1):
-        sl = tree.level_slice(k)
-        e = condexp(tree, v[tree.level_slice(k + 1)], k, "Q")
-        nxt = tree.level_nodes(k + 1)
-        zinc[nxt] = v[nxt] - e[tree.parent[nxt] - tree.level_start[k]]
-        val = step_fn(e, payoff.R.values[sl], delta[sl], sl)
-        v[sl] = np.where(stops[sl], payoff.P.values[sl], val)
-    v = _freeze_after_stop(tree, v, stops, frozen)
-    zinc[frozen] = 0.0
-    return v, zinc
+    stops, anchor = _stop_masks(tree, sigma)
+    pv, rv = payoff.P.values, payoff.R.values
+    cont = np.zeros(tree.n_nodes)
+
+    def step(sl, e):
+        cont[sl] = e
+        return np.where(stops[sl], pv[sl], step_fn(e, rv[sl], delta[sl], sl))
+
+    v = backward(tree, pv, step)
+    zinc = _martingale_increments(tree, v, cont)
+    zinc[anchor != np.arange(tree.n_nodes)] = 0.0
+    return v[anchor], zinc
 
 
 def reduced_price_linear(lam, payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree,
@@ -185,7 +178,7 @@ def reduced_price_closed_form(lam, payoff: PayoffSpec, hz: ReducedHazard,
     to 1e-12, which is asserted unless disabled.
     """
     lam_v = _lambda_values(tree, lam)
-    stops, frozen = _stop_masks(tree, sigma)
+    stops, anchor = _stop_masks(tree, sigma)
     paths = tree.path_nodes()
     n = tree.n_periods
 
@@ -223,7 +216,7 @@ def reduced_price_closed_form(lam, payoff: PayoffSpec, hz: ReducedHazard,
                 acc += w_path * contrib
             vals[i] = acc
         v[sl] = np.where(stops[sl], payoff.P.values[sl], vals)
-    v = _freeze_after_stop(tree, v, stops, frozen)
+    v = v[anchor]
 
     report = EuroSolveReport(AdaptedProcess(tree, v), np.zeros(tree.n_nodes))
     if check_against_linear:
@@ -248,18 +241,6 @@ def penalized_european(n: float, payoff: PayoffSpec, hz: ReducedHazard,
 
     v, z = _implicit_backward(tree, payoff, hz.delta, step, sigma)
     return EuroSolveReport(AdaptedProcess(tree, v), z)
-
-
-def penalized_ladder(ns, payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree,
-                     sign: int = 1) -> np.ndarray:
-    """(len(ns), n_nodes) penalized values for a whole ladder of levels.
-
-    Dispatches to the jitted kernel when available; sign=+1 is the upper
-    (European) scheme n(R-y)^+, sign=-1 the lower scheme -n(y-R)^+.
-    """
-    term = payoff.P.values[tree.level_slice(tree.n_periods)]
-    return _kernels.penalized_ladder(np.asarray(ns, dtype=float), tree, hz.delta,
-                                     payoff.R.values, term, sign)
 
 
 def constrained_snell(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree

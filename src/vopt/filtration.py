@@ -11,7 +11,7 @@ operation here is a pure function and safe to call concurrently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,9 @@ class TimeGrid:
         object.__setattr__(self, "times", t)
         if t.ndim != 1 or t.size < 2:
             raise TreeError("time grid needs at least one period")
+        if not np.all(np.isfinite(t)):
+            raise TreeError(f"time grid entry {int(np.flatnonzero(~np.isfinite(t))[0])} "
+                            "is not finite")
         if t[0] != 0.0:
             raise TreeError("time grid must start at t_0 = 0")
         if np.any(np.diff(t) <= 0.0):
@@ -77,14 +80,13 @@ class FiniteTree:
     # -- construction helpers -------------------------------------------------
 
     def _path_products(self, edge: np.ndarray) -> np.ndarray:
-        out = np.ones(self.n_nodes)
-        for k in range(1, self.n_periods + 1):
-            sl = self.level_slice(k)
-            out[sl] = out[self.parent[sl]] * edge[sl]
-        return out
+        return forward(self, edge, np.multiply, 1.0)
 
     def _validate(self):
         for name, edge in (("P", self.p_edge), ("Q", self.q_edge)):
+            if not np.all(np.isfinite(edge)):
+                v = int(np.flatnonzero(~np.isfinite(edge))[0])
+                raise TreeError(f"{name}-probability of edge into node {v} is not finite")
             if np.any(edge <= 0.0):
                 v = int(np.flatnonzero(edge <= 0.0)[0])
                 raise TreeError(
@@ -178,7 +180,7 @@ class AdaptedProcess:
     @classmethod
     def from_terminal(cls, tree: FiniteTree, terminal, measure: str = "Q") -> "AdaptedProcess":
         """Martingale closure E[X_T | F_k] of terminal values."""
-        return cls(tree, backward_closure(tree, terminal, measure))
+        return cls(tree, backward(tree, terminal, measure=measure))
 
     def at_level(self, k: int) -> np.ndarray:
         return self.values[self.tree.level_slice(k)]
@@ -298,13 +300,12 @@ def reweight_by_density(tree: FiniteTree, zf_leaves: np.ndarray) -> FiniteTree:
     """Derive Q from P by the terminal density Z^F (normalised to E_P[Z^F]=1)."""
     if zf_leaves.shape != (tree.leaves.size,):
         raise TreeError("zf_leaves must have one value per terminal node")
+    if not np.all(np.isfinite(zf_leaves)):
+        i = int(np.flatnonzero(~np.isfinite(zf_leaves))[0])
+        raise TreeError(f"zf_leaves[{i}] (node {int(tree.leaves[i])}) is not finite")
     if np.any(zf_leaves <= 0.0):
         raise TreeError("density Z^F must be strictly positive")
-    z = np.ones(tree.n_nodes)
-    z[tree.level_slice(tree.n_periods)] = zf_leaves
-    for k in range(tree.n_periods - 1, -1, -1):
-        nxt = tree.level_slice(k + 1)
-        z[tree.level_slice(k)] = tree.sum_over_children(k, tree.p_edge[nxt] * z[nxt])
+    z = backward(tree, zf_leaves, measure="P")
     z /= z[0]  # Z_0 = 1
     q_edge = np.ones(tree.n_nodes)
     sl = slice(1, tree.n_nodes)
@@ -380,32 +381,42 @@ def condexp(tree: FiniteTree, x, k: int, measure: str = "Q") -> np.ndarray:
     return tree.sum_over_children(k, w)
 
 
-def condexp_next(tree: FiniteTree, x, measure: str = "Q") -> AdaptedProcess:
-    """Process of one-step conditional expectations: node at k -> E[x_{k+1}|F_k].
+def backward(tree: FiniteTree, terminal, step=None, measure: str = "Q") -> np.ndarray:
+    """The level sweep behind every backward solve (full-node array out).
 
-    Terminal nodes carry their own value (nothing left to average).
+    Starts from the terminal values and walks the levels from N-1 down to 0.
+    At each level the continuation ``e = E[value_{k+1} | F_k]`` is formed
+    under ``measure`` and ``step(sl, e)`` returns the values of the level-k
+    nodes ``sl``; a step records its own side outputs (stop masks, reflection
+    increments, the continuation itself).  Without a step the sweep is the
+    martingale closure E[X_T | F_k].
     """
-    xv = _vals(x)
-    out = xv.copy()
-    for k in range(tree.n_periods):
-        out[tree.level_slice(k)] = condexp(tree, xv, k, measure)
-    return AdaptedProcess(tree, out)
-
-
-def backward_closure(tree: FiniteTree, terminal, measure: str = "Q") -> np.ndarray:
-    """E[X_T | F_k] for all k, from terminal values (full-node array out)."""
     tv = _vals(terminal)
     if tv.shape == (tree.n_nodes,):
         tv = tv[tree.level_slice(tree.n_periods)]
     out = np.empty(tree.n_nodes)
     out[tree.level_slice(tree.n_periods)] = tv
     for k in range(tree.n_periods - 1, -1, -1):
-        out[tree.level_slice(k)] = condexp(tree, out[tree.level_slice(k + 1)], k, measure)
+        sl = tree.level_slice(k)
+        e = condexp(tree, out[tree.level_slice(k + 1)], k, measure)
+        out[sl] = e if step is None else step(sl, e)
     return out
 
 
-def is_martingale(tree: FiniteTree, x, measure: str = "Q", tol: float = 1e-12) -> bool:
-    return martingale_residual(tree, x, measure) <= tol
+def forward(tree: FiniteTree, incr: np.ndarray, combine, root) -> np.ndarray:
+    """The level sweep behind every path accumulation (full-node array out).
+
+    ``out[0] = root`` and, level by level from the root down,
+    ``out[v] = combine(out[parent(v)], incr[v])``.  The output takes the dtype
+    of ``incr``.  Increments that are read at the parent node are passed as
+    ``x[tree.parent]``.
+    """
+    out = np.empty_like(np.asarray(incr))
+    out[0] = root
+    for k in range(1, tree.n_periods + 1):
+        sl = tree.level_slice(k)
+        out[sl] = combine(out[tree.parent[sl]], incr[sl])
+    return out
 
 
 def martingale_residual(tree: FiniteTree, x, measure: str = "Q") -> float:
@@ -463,17 +474,14 @@ def snell_envelope(reward, measure: str = "Q", allowed: np.ndarray | None = None
     if not np.all(allowed[tree.level_slice(tree.n_periods)]):
         raise TreeError("mask excludes a terminal node")
 
-    value = np.empty(tree.n_nodes)
     stop = np.zeros(tree.n_nodes, dtype=bool)
-    term = tree.level_slice(tree.n_periods)
-    value[term] = rv[term]
-    stop[term] = True
-    for k in range(tree.n_periods - 1, -1, -1):
-        sl = tree.level_slice(k)
-        cont = condexp(tree, value[tree.level_slice(k + 1)], k, measure)
+
+    def step(sl, cont):
         ok = allowed[sl]
-        value[sl] = np.where(ok, np.maximum(rv[sl], cont), cont)
         stop[sl] = ok & (rv[sl] >= cont)
+        return np.where(ok, np.maximum(rv[sl], cont), cont)
+
+    value = backward(tree, rv, step, measure)
     return AdaptedProcess(tree, value), StoppingTime(tree, stop | StoppingTime.horizon(tree).stop)
 
 

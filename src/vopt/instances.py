@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import EnumerationCapError
 from .european import PayoffSpec, ReducedHazard
-from .filtration import AdaptedProcess, FiniteTree, TimeGrid, build_tree, count_stopping_times
+from .filtration import AdaptedProcess, FiniteTree, build_tree, count_stopping_times
 from .measure_change import PhiControl, phi_pr_from_marks, validate_phi
 from .random_time import ExtendedSpace, HazardSpec, cox_extend, extend_with_kernel, projections
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, IdentityError
-from .filtration import AdaptedProcess, _vals
+from .filtration import AdaptedProcess, _vals, forward
 from .random_time import (IDENTITY_TOL, ExtendedSpace, ProjectionBundle,
                           _increments, _path_exponential, _prev_values, projections)
 
@@ -100,7 +100,6 @@ def phi_pr_from_marks(ext: ExtendedSpace, marks: np.ndarray,
     w = _default_step_weights(ext, bundle, phi_o_v)
     out = np.asarray(marks, dtype=float).copy()
     for k in range(tree.n_periods):
-        sl = tree.level_slice(k)
         nxt = tree.level_nodes(k + 1)
         g = tree.parent[nxt] - tree.level_start[k]
         tot = np.bincount(g, weights=w[nxt], minlength=tree.level_size(k))
@@ -298,10 +297,7 @@ def hazard_under_phi(ext: ExtendedSpace, phi: PhiControl,
     phi_o = _vals(phi.phi_o)
     dgt = bundle.dGammaTilde()
     d_lambda = (1.0 + phi_o * (1.0 - dgt)) * dgt
-    lam = np.zeros(tree.n_nodes)
-    for k in range(1, tree.n_periods + 1):
-        nodes = tree.level_nodes(k)
-        lam[nodes] = lam[tree.parent[nodes]] + d_lambda[nodes]
+    lam = forward(tree, d_lambda, np.add, 0.0)
 
     r_main = float(np.max(np.abs(lam - tilted.GammaTilde.values)))
     if r_main > tol:
@@ -338,7 +334,6 @@ def G_under_phi(ext: ExtendedSpace, phi: PhiControl,
     question in general, so it is reported, never assumed).
     """
     tree = ext.base
-    n = tree.n_periods
     if bundle is None:
         bundle = projections(ext)
     dens = density_eta(phi, ext, bundle)
@@ -377,10 +372,7 @@ def compensated_default_residual(ext: ExtendedSpace, phi: PhiControl,
     phi_o = _vals(phi.phi_o)
     dgt = bundle.dGammaTilde()
     d_lambda = (1.0 + phi_o * (1.0 - dgt)) * dgt
-    lam = np.zeros(tree.n_nodes)
-    for k in range(1, n + 1):
-        nodes = tree.level_nodes(k)
-        lam[nodes] = lam[tree.parent[nodes]] + d_lambda[nodes]
+    lam = forward(tree, d_lambda, np.add, 0.0)
     stop_idx = np.minimum(ext.theta[:, None], np.arange(n + 1)[None, :])
     stopped = np.take_along_axis(ext.node_at, stop_idx, axis=1)
     m_g_phi = ext.indicator() - lam[stopped]

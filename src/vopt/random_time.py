@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HazardError, IdentityError, TreeError
-from .filtration import AdaptedProcess, FiniteTree, StoppingTime, _vals
+from .filtration import AdaptedProcess, FiniteTree, StoppingTime, _vals, forward
 
 IDENTITY_TOL = 1e-12
 
@@ -44,6 +44,9 @@ class HazardSpec:
         object.__setattr__(self, "h", hv)
         if self.timing not in ("decision", "arrival"):
             raise HazardError(f"unknown hazard timing {self.timing!r}")
+        if not np.all(np.isfinite(hv)):
+            raise HazardError(f"h at node {int(np.flatnonzero(~np.isfinite(hv))[0])} "
+                              "is not finite")
         if np.any((hv < 0.0) | (hv >= 1.0)):
             raise HazardError("h outside [0, 1)")
 
@@ -334,11 +337,7 @@ def _prev_values(tree: FiniteTree, x: np.ndarray, root_value: float) -> np.ndarr
 
 def _path_exponential(tree: FiniteTree, incr: np.ndarray) -> np.ndarray:
     """Discrete stochastic exponential prod_{j<=k} (1 + dX_j) along paths."""
-    out = np.ones(tree.n_nodes)
-    for k in range(1, tree.n_periods + 1):
-        nodes = tree.level_nodes(k)
-        out[nodes] = out[tree.parent[nodes]] * (1.0 + incr[nodes])
-    return out
+    return forward(tree, 1.0 + incr, np.multiply, 1.0)
 
 
 def verify_lemma21(bundle: ProjectionBundle) -> IdentityReport:
@@ -394,7 +393,6 @@ def _sibling_spread(tree: FiniteTree, x: np.ndarray) -> float:
     """How far x is from being predictable (constant across sibling groups)."""
     spread = 0.0
     for k in range(tree.n_periods):
-        sl = tree.level_slice(k)
         nxt = tree.level_slice(k + 1)
         lo = np.full(tree.level_size(k), np.inf)
         hi = np.full(tree.level_size(k), -np.inf)

@@ -1,7 +1,7 @@
 """Report emission: CSV value tables and JSON traces with stable formatting.
 
 All reals are printed with 17 significant digits so identical runs produce
-byte-identical files regardless of thread count.
+byte-identical files.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,32 +99,51 @@ def parse_scenario(path: str) -> Scenario:
     return scenario_from_dict(raw, name_hint=os.path.basename(path))
 
 
+@contextmanager
+def _section(name: str):
+    """Report any input error raised while reading one section as a
+    ScenarioError that names the section (TreeError and HazardError are
+    ValueErrors too)."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (ValueError, TypeError) as e:
+        raise ScenarioError(f"{name}: {e}") from e
+
+
+def _whole(x, where: str) -> int:
+    """An integer input; a float is accepted only when it is a whole number."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ScenarioError(f"{where}: {x!r} is not a whole number")
+    return int(x)
+
+
 def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     if "tree" not in raw:
         raise ScenarioError("missing 'tree' section")
-    from .errors import TreeError
-    try:
+    with _section("tree"):
         tree = build_tree(raw["tree"])
-    except TreeError as e:
-        raise ScenarioError(f"tree: {e}")
 
     hz_raw = raw.get("hazard", {})
-    h_vals = _node_table(tree, hz_raw.get("h", 0.0), "hazard.h")
-    from .errors import HazardError
-    try:
-        hazard_h = HazardSpec(h_vals, timing=hz_raw.get("timing", "decision"),
+    with _section("hazard"):
+        hazard_h = HazardSpec(_node_table(tree, hz_raw.get("h", 0.0), "hazard.h"),
+                              timing=hz_raw.get("timing", "decision"),
                               terminal_absorption=hz_raw.get("terminal_absorption", True))
         hazard_delta = ReducedHazard(tree, _node_table(tree, hz_raw.get("delta", 0.0),
                                                        "hazard.delta"))
-    except HazardError as e:
-        raise ScenarioError(f"hazard: {e}")
 
     pay_raw = raw.get("payoff", {})
-    payoff = PayoffSpec(
-        AdaptedProcess(tree, _node_table(tree, pay_raw.get("P", 1.0), "payoff.P")),
-        AdaptedProcess(tree, _node_table(tree, pay_raw.get("R", 1.0), "payoff.R")))
+    with _section("payoff"):
+        payoff = PayoffSpec(
+            AdaptedProcess(tree, _node_table(tree, pay_raw.get("P", 1.0), "payoff.P")),
+            AdaptedProcess(tree, _node_table(tree, pay_raw.get("R", 1.0), "payoff.R")))
 
     phi_raw = raw.get("phi", {})
+    with _section("phi"):
+        phi_seed = _whole(phi_raw.get("seed", 20240901), "phi.seed")
+        phi_count = _whole(phi_raw.get("count", 10), "phi.count")
+
     suites = raw.get("suites", list(ALL_SUITES))
     for s in suites:
         if s not in ALL_SUITES:
@@ -131,28 +151,29 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
 
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(raw.get("tolerances", {}))
-    for k, v in tol.items():
-        if not v > 0:
-            raise ScenarioError(f"tolerances.{k} must be positive")
+    with _section("tolerances"):
+        for k, v in tol.items():
+            if not v > 0:
+                raise ScenarioError(f"tolerances.{k} must be positive")
 
-    ladder = [int(n) for n in raw.get("penalty_ladder",
-                                      [2 ** k for k in range(0, 22, 2)])]
+    with _section("penalty_ladder"):
+        ladder = [_whole(n, f"penalty_ladder[{i}]") for i, n in enumerate(
+            raw.get("penalty_ladder", [2 ** k for k in range(0, 22, 2)]))]
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or any(n < 1 for n in ladder):
         raise ScenarioError("penalty_ladder must be strictly increasing and >= 1")
 
     family = raw.get("random_family")
     if family is not None:
-        family = {"seed": int(family.get("seed", 0)),
-                  "instances": int(family.get("instances", 20)),
-                  "max_periods": int(family.get("max_periods", 3)),
-                  "max_branching": int(family.get("max_branching", 3))}
+        with _section("random_family"):
+            family = {key: _whole(family.get(key, default), f"random_family.{key}")
+                      for key, default in (("seed", 0), ("instances", 20),
+                                           ("max_periods", 3), ("max_branching", 3))}
         if family["instances"] < 1:
             raise ScenarioError("random_family.instances must be >= 1")
 
     out_dir = raw.get("output", {}).get("dir") or os.environ.get("VOPT_OUT_DIR", "out")
     return Scenario(name=raw.get("name", name_hint), tree=tree, hazard_h=hazard_h,
                     hazard_delta=hazard_delta, payoff=payoff,
-                    phi_seed=int(phi_raw.get("seed", 20240901)),
-                    phi_count=int(phi_raw.get("count", 10)),
+                    phi_seed=phi_seed, phi_count=phi_count,
                     suites=list(suites), tolerances=tol, penalty_ladder=ladder,
                     family=family, output_dir=out_dir, raw=raw)

@@ -1,35 +1,32 @@
 """Verification suites: identity checks, duality sweeps, oracle comparisons.
 
 Each suite runs on the scenario instance (plus the optional randomized family
-for the batch identity checks), returns its worst residual against the
-scenario tolerances, and is pure, so suites can run in a worker pool; the
-report is assembled in declaration order and is byte-stable across thread
-counts.
+for the batch identity checks) and returns its worst residual against the
+scenario tolerances.  Suites run one after another in declaration order, and
+the report leaves timings out, so it is byte-stable across runs.  A NaN or
+infinite residual fails its suite.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .american import (american_upper_price, brute_force_game, constrained_dynkin_game,
                        game_payoff, modified_payoff, penalized_american_lower,
                        penalized_american_upper, rbsde_vs_weighted_optstop)
 from .errors import EnumerationCapError, TreeError
 from .european import (constrained_snell, dirac_convergence_check, penalized_european,
                        reduced_price_closed_form, sup_over_phi)
-from .filtration import (AdaptedProcess, StoppingTime, backward_closure,
+from .filtration import (AdaptedProcess, StoppingTime, backward,
                          brute_force_snell_root, _enumerate_stop_nodes,
                          count_stopping_times, evaluate_stopping, snell_envelope)
-from .instances import (random_delta_hazard, random_extension, random_game_instance,
-                        random_payoff, random_phi, random_tree)
-from .measure_change import (G_under_phi, PhiControl, compensated_default_residual,
-                             density_eta, hazard_under_phi, phi_pr_from_marks,
-                             validate_phi)
+from .instances import (random_delta_hazard, random_extension, random_payoff,
+                        random_phi, random_tree)
+from .measure_change import (G_under_phi, compensated_default_residual, hazard_under_phi,
+                             phi_pr_from_marks)
 from .random_time import (cox_extend, jeulin_yor_transform, key_lemma,
                           pre_default_transform, projections, verify_lemma21)
 from .scenario import Scenario
@@ -62,8 +59,17 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {"scenario": self.scenario, "passed": bool(self.passed),
-                "kernel_backend": _kernels.backend(),
                 "suites": [r.to_dict() for r in self.results]}
+
+
+def _worst(*residuals: float) -> float:
+    """Largest residual; NaN as soon as any residual is NaN.
+
+    The built-in ``max`` keeps the first argument when a later one is NaN
+    (``max(0.0, nan) == 0.0``), so a NaN arriving after a finite residual
+    would be dropped.  A NaN result fails every ``residual <= tol`` check.
+    """
+    return float(np.max(residuals))
 
 
 def _family_instances(sc: Scenario):
@@ -84,7 +90,7 @@ def suite_projections_identities(sc: Scenario) -> SuiteResult:
     for tree, ext in _family_instances(sc):
         bundle = projections(ext)
         rep = verify_lemma21(bundle)
-        worst = max(worst, rep.max_residual)
+        worst = _worst(worst, rep.max_residual)
         x = AdaptedProcess(tree, rng.uniform(0.0, 3.0, tree.n_nodes))
         xp = np.empty(tree.n_nodes)
         xp[0] = x.values[0]
@@ -104,10 +110,10 @@ def suite_martingale_transforms(sc: Scenario) -> SuiteResult:
     count = 0
     for tree, ext in _family_instances(sc):
         bundle = projections(ext)
-        M = AdaptedProcess(tree, backward_closure(
-            tree, rng.uniform(-1.0, 2.0, tree.leaves.size), "P"))
-        worst = max(worst, ext.g_martingale_residual(jeulin_yor_transform(ext, M, bundle)))
-        worst = max(worst, ext.g_martingale_residual(pre_default_transform(ext, M, bundle)))
+        M = AdaptedProcess(tree, backward(
+            tree, rng.uniform(-1.0, 2.0, tree.leaves.size), measure="P"))
+        worst = _worst(worst, ext.g_martingale_residual(jeulin_yor_transform(ext, M, bundle)),
+                       ext.g_martingale_residual(pre_default_transform(ext, M, bundle)))
         count += 1
     return SuiteResult("martingale-transforms", worst <= tol, worst, tol, 0.0,
                        {"instances": count})
@@ -124,9 +130,9 @@ def suite_measure_change(sc: Scenario) -> SuiteResult:
             phi = random_phi(rng, ext, bundle, with_pr=False)
             hz_rep = hazard_under_phi(ext, phi, bundle, tol=tol)
             g_rep = G_under_phi(ext, phi, bundle, tol=tol)
-            worst = max(worst, hz_rep.two_route_residual, hz_rep.dual_projection_residual,
-                        g_rep.two_route_residual,
-                        compensated_default_residual(ext, phi, bundle))
+            worst = _worst(worst, hz_rep.two_route_residual, hz_rep.dual_projection_residual,
+                           g_rep.two_route_residual,
+                           compensated_default_residual(ext, phi, bundle))
             details["controls"] += 1
     # post-default marks: the density stays an exact martingale and the
     # reduced (pre-default) option values are invariant to the mark.  Uses
@@ -143,11 +149,11 @@ def suite_measure_change(sc: Scenario) -> SuiteResult:
         marks = phi_pr_from_marks(ext, rng.uniform(-0.7, 0.7, sc.tree.n_nodes),
                                   bundle, phi_o_arrival)
         rep = full_price_assembly(ext, sc.payoff, lam=lam, phi_pr=marks)
-        worst = max(worst, rep.residual)
+        worst = _worst(worst, rep.residual)
         if base is None:
             base = rep.reduced.values
         else:
-            worst = max(worst, float(np.max(np.abs(rep.reduced.values - base))))
+            worst = _worst(worst, float(np.max(np.abs(rep.reduced.values - base))))
         details["controls"] += 1
     return SuiteResult("measure-change", worst <= tol, worst, tol, 0.0, details)
 
@@ -170,7 +176,7 @@ def suite_european_duality(sc: Scenario) -> SuiteResult:
     for n in (1, 4, 16):
         sup = sup_over_phi(n, payoff, hz, tree).value.values
         pen = penalized_european(n, payoff, hz, tree).value.values
-        worst = max(worst, float(np.max(np.abs(sup - pen))))
+        worst = _worst(worst, float(np.max(np.abs(sup - pen))))
     lam = 1.0 + 0.5 * np.sin(np.arange(tree.n_nodes))   # deterministic tilt
     reduced_id = reduced_price_closed_form(AdaptedProcess(tree, lam), payoff, hz, tree)
     oracle_gap = 0.0
@@ -182,7 +188,7 @@ def suite_european_duality(sc: Scenario) -> SuiteResult:
         oracle_gap = abs(bf - snell.value.values[0])
     except EnumerationCapError:
         pass
-    worst = max(worst, oracle_gap)
+    worst = _worst(worst, oracle_gap)
     passed = worst <= tol and mono_ok and oracle_gap <= tol_id
     return SuiteResult("european-duality", passed, worst, tol, 0.0,
                        {"monotone": mono_ok, "gap_trace": gaps,
@@ -197,7 +203,7 @@ def suite_dirac_convergence(sc: Scenario) -> SuiteResult:
     nu = StoppingTime(tree, hz.support_mask())
     table = dirac_convergence_check(payoff, hz, tree, nu)
     worst = table.gaps[-1]
-    passed = worst <= tol and (table.strictly_decreasing or max(table.gaps) <= tol)
+    passed = worst <= tol and (table.strictly_decreasing or _worst(*table.gaps) <= tol)
     return SuiteResult("dirac-convergence", passed, worst, tol, 0.0,
                        {"strictly_decreasing": table.strictly_decreasing,
                         "trace": table.to_trace()})
@@ -206,8 +212,6 @@ def suite_dirac_convergence(sc: Scenario) -> SuiteResult:
 def suite_rbsde_vs_optstop(sc: Scenario) -> SuiteResult:
     tol = sc.tolerances["rbsde"]
     tol_id = sc.tolerances["identity"]
-    worst = 0.0
-    sk = 0.0
     rng = np.random.default_rng(sc.phi_seed + 3)
     rep = rbsde_vs_weighted_optstop(sc.payoff, sc.hazard_delta, sc.tree, tol=tol)
     worst, sk = rep.max_diff, rep.skorokhod_residual
@@ -217,8 +221,8 @@ def suite_rbsde_vs_optstop(sc: Scenario) -> SuiteResult:
             tree = random_tree(rng, sc.family["max_periods"], sc.family["max_branching"])
             rep = rbsde_vs_weighted_optstop(random_payoff(rng, tree),
                                             random_delta_hazard(rng, tree), tree, tol=tol)
-            worst = max(worst, rep.max_diff)
-            sk = max(sk, rep.skorokhod_residual)
+            worst = _worst(worst, rep.max_diff)
+            sk = _worst(sk, rep.skorokhod_residual)
             count += 1
     return SuiteResult("rbsde-vs-optstop", worst <= tol and sk <= tol_id, worst, tol,
                        0.0, {"instances": count, "skorokhod": sk})
@@ -246,7 +250,7 @@ def suite_american_upper(sc: Scenario) -> SuiteResult:
     except EnumerationCapError:
         pass
     passed = worst <= tol and mono_ok and oracle_gap <= tol_id
-    return SuiteResult("american-upper", passed, max(worst, oracle_gap), tol, 0.0,
+    return SuiteResult("american-upper", passed, _worst(worst, oracle_gap), tol, 0.0,
                        {"monotone": mono_ok, "gap_trace": gaps,
                         "enumeration_gap": oracle_gap})
 
@@ -266,16 +270,16 @@ def suite_game_duality(sc: Scenario) -> SuiteResult:
     worst_exact = 0.0
     try:
         bf = brute_force_game(payoff, hz, tree)
-        worst_exact = max(abs(bf.infsup - bf.supinf),
-                          abs(bf.infsup - game.value.values[0]))
+        worst_exact = _worst(abs(bf.infsup - bf.supinf),
+                             abs(bf.infsup - game.value.values[0]))
         achieved = game_payoff(payoff, tree, game.sigma_star, game.tau_star)
-        worst_exact = max(worst_exact, abs(achieved - game.value.values[0]))
+        worst_exact = _worst(worst_exact, abs(achieved - game.value.values[0]))
         details.update({"infsup": bf.infsup, "supinf": bf.supinf,
                         "strategies_achieve": achieved})
     except EnumerationCapError as e:
         details["enumeration"] = f"skipped: {e}"
     passed = worst_pen <= tol and worst_exact <= tol_id
-    return SuiteResult("game-duality", passed, max(worst_pen, worst_exact), tol, 0.0,
+    return SuiteResult("game-duality", passed, _worst(worst_pen, worst_exact), tol, 0.0,
                        details)
 
 
@@ -298,13 +302,13 @@ def suite_oracle_equivalence(sc: Scenario) -> SuiteResult:
         for mask in (None, hz.support_mask()):
             val, tau = snell_envelope(reward, "Q", mask)
             bf = brute_force_snell_root(reward, "Q", mask)
-            worst = max(worst, abs(val.values[0] - bf),
-                        abs(evaluate_stopping(reward, tau, "Q") - val.values[0]))
+            worst = _worst(worst, abs(val.values[0] - bf),
+                           abs(evaluate_stopping(reward, tau, "Q") - val.values[0]))
         # counting formula cross-check: c(v) = [allowed] + prod over children
         mat = _enumerate_stop_nodes(tree, np.ones(tree.n_nodes, dtype=bool),
                                     10_000_000)
         if mat.shape[0] != n_all:
-            worst = max(worst, np.inf)
+            worst = np.inf
         count += 1
     return SuiteResult("oracle-equivalence", worst <= tol, worst, tol, 0.0,
                        {"instances": count})
@@ -323,10 +327,10 @@ SUITE_FUNCTIONS = {
 }
 
 
-def run_suites(sc: Scenario, threads: int = 1) -> RunReport:
-    """Execute the selected suites; deterministic report regardless of threads."""
-
-    def run_one(name: str) -> SuiteResult:
+def run_suites(sc: Scenario) -> RunReport:
+    """Execute the selected suites in declaration order."""
+    results = []
+    for name in sc.suites:
         t0 = time.perf_counter()
         try:
             res = SUITE_FUNCTIONS[name](sc)
@@ -334,12 +338,5 @@ def run_suites(sc: Scenario, threads: int = 1) -> RunReport:
             res = SuiteResult(name, False, np.inf, sc.tolerances["identity"], 0.0,
                               {"error": f"{type(e).__name__}: {e}"})
         res.elapsed = time.perf_counter() - t0
-        return res
-
-    names = list(sc.suites)
-    if threads <= 1 or len(names) <= 1:
-        results = [run_one(n) for n in names]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, names))
+        results.append(res)
     return RunReport(sc.name, results)

@@ -10,7 +10,7 @@ from vopt.american import (american_reduced_price_phi, american_upper_price,
                            rbsde_vs_weighted_optstop, reflected_gbsde_solve)
 from vopt.errors import TreeError
 from vopt.european import PayoffSpec, ReducedHazard, reduced_price_linear
-from vopt.filtration import (AdaptedProcess, backward_closure, brute_force_snell_root,
+from vopt.filtration import (AdaptedProcess, backward, brute_force_snell_root,
                              build_tree, snell_envelope)
 from vopt.instances import (random_delta_hazard, random_game_instance, random_payoff,
                             random_tree)
@@ -151,7 +151,7 @@ def test_penalized_schemes_monotone_and_ordered():
 def test_penalty_never_binds_when_dominated():
     rng = np.random.default_rng(66)
     tree = random_tree(rng, with_density=False)
-    snell_p = backward_closure(tree, np.full(tree.leaves.size, 3.0), "Q")
+    snell_p = backward(tree, np.full(tree.leaves.size, 3.0))
     pay = PayoffSpec(AdaptedProcess(tree, snell_p), AdaptedProcess.constant(tree, 50.0))
     hz = random_delta_hazard(rng, tree)
     rep = penalized_american_lower(1024, pay, hz, tree)

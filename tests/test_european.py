@@ -6,9 +6,9 @@ import pytest
 from vopt.errors import HazardError
 from vopt.european import (DiracTable, PayoffSpec, ReducedHazard, constrained_snell,
                            dirac_convergence_check, penalized_european,
-                           penalized_ladder, reduced_price_closed_form,
-                           reduced_price_linear, sup_over_phi)
-from vopt.filtration import (AdaptedProcess, StoppingTime, backward_closure,
+                           reduced_price_closed_form, reduced_price_linear,
+                           sup_over_phi)
+from vopt.filtration import (AdaptedProcess, StoppingTime, backward,
                              brute_force_snell_root, build_tree)
 from vopt.instances import random_delta_hazard, random_payoff, random_tree
 
@@ -23,7 +23,7 @@ def one_period_instance():
 
 
 def plain_price(tree, pay):
-    return backward_closure(tree, pay.P.values[tree.level_slice(tree.n_periods)], "Q")
+    return backward(tree, pay.P.values[tree.level_slice(tree.n_periods)])
 
 
 # -- linear solve -------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_penalized_inactive_when_reward_below_price():
     # R below the martingale-closed P: penalty never binds
     rng = np.random.default_rng(44)
     tree = random_tree(rng, with_density=False)
-    pv = backward_closure(tree, np.full(tree.leaves.size, 2.0), "Q")
+    pv = backward(tree, np.full(tree.leaves.size, 2.0))
     pay = PayoffSpec(AdaptedProcess(tree, pv), AdaptedProcess.constant(tree, 1.0))
     hz = random_delta_hazard(rng, tree)
     for n in (1, 16, 1024):
@@ -127,18 +127,6 @@ def test_penalized_monotone_in_n():
             if prev is not None:
                 assert np.all(val >= prev - TOL)
             prev = val
-
-
-def test_penalized_ladder_kernel_matches_scalar_solves():
-    rng = np.random.default_rng(46)
-    tree = random_tree(rng)
-    pay = random_payoff(rng, tree)
-    hz = random_delta_hazard(rng, tree)
-    ns = [1, 4, 64, 4096]
-    mat = penalized_ladder(ns, pay, hz, tree, sign=1)
-    for i, n in enumerate(ns):
-        ref = penalized_european(n, pay, hz, tree).value.values
-        assert np.max(np.abs(mat[i] - ref)) <= TOL
 
 
 # -- constrained Snell envelope ------------------------------------------------------------
@@ -213,7 +201,7 @@ def test_sup_over_phi_grid_mode():
 def test_sup_attained_at_vanishing_tilt_when_r_small():
     rng = np.random.default_rng(51)
     tree = random_tree(rng, with_density=False)
-    pv = backward_closure(tree, np.full(tree.leaves.size, 3.0), "Q")
+    pv = backward(tree, np.full(tree.leaves.size, 3.0))
     pay = PayoffSpec(AdaptedProcess(tree, pv), AdaptedProcess.constant(tree, 0.5))
     hz = random_delta_hazard(rng, tree)
     sup = sup_over_phi(8, pay, hz, tree)

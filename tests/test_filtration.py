@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from vopt.errors import EnumerationCapError, TreeError
-from vopt.filtration import (AdaptedProcess, StoppingTime, TimeGrid, backward_closure,
+from vopt.filtration import (AdaptedProcess, StoppingTime, TimeGrid, backward,
                              brute_force_snell_root, build_tree, condexp,
                              count_stopping_times, doob_decomposition,
-                             enumerate_stopping_times, evaluate_stopping,
+                             enumerate_stopping_times, evaluate_stopping, forward,
                              martingale_residual, snell_envelope)
 from vopt.instances import random_tree
 
@@ -77,10 +77,28 @@ def test_tower_property():
     for _ in range(10):
         tree = random_tree(rng)
         term = rng.uniform(-2.0, 2.0, tree.leaves.size)
-        closed = backward_closure(tree, term, "Q")
+        closed = backward(tree, term)
         # composing one-step conditional expectations = one-shot path expectation
         direct = float(np.dot(tree.node_q[tree.leaves], term))
         assert closed[0] == pytest.approx(direct, abs=TOL)
+
+
+def test_forward_accumulates_along_paths():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        tree = random_tree(rng)
+        x = rng.uniform(0.5, 1.5, tree.n_nodes)
+        paths = tree.path_nodes()
+        sums = forward(tree, x, np.add, 0.25)
+        prods = forward(tree, x, np.multiply, 1.0)
+        for k in range(tree.n_periods + 1):
+            seg = x[paths[:, 1:k + 1]]
+            assert np.allclose(sums[paths[:, k]], 0.25 + seg.sum(axis=1), rtol=0, atol=TOL)
+            assert np.allclose(prods[paths[:, k]], seg.prod(axis=1), rtol=TOL, atol=0)
+        first_stop = forward(tree, np.arange(tree.n_nodes),
+                             lambda up, own: np.where(x[up] > 1.0, up, own), 0)
+        stopped = StoppingTime(tree, (x > 1.0) | StoppingTime.horizon(tree).stop)
+        assert np.array_equal(first_stop[tree.leaves], stopped.stop_nodes_per_path())
 
 
 # -- Doob decomposition -------------------------------------------------------
@@ -145,6 +163,9 @@ def test_snell_immediate_stop():
     value, tau = snell_envelope(reward, "Q")
     assert value.values[0] == pytest.approx(10.0, abs=TOL)
     assert tau.stop[0]
+    # a tie between reward and continuation stops
+    _, tau = snell_envelope(AdaptedProcess(tree, np.array([1.0, 2.0, 0.0])), "Q")
+    assert tau.stop[0]
 
 
 def test_snell_equals_enumeration():
@@ -196,7 +217,7 @@ def test_evaluate_stopping_examples():
     root_stop = StoppingTime.from_stop_nodes(tree, [0])
     assert evaluate_stopping(reward, root_stop, "Q") == pytest.approx(0.0, abs=TOL)
     horizon = StoppingTime.horizon(tree)
-    chain = backward_closure(tree, reward.values[tree.level_slice(2)], "Q")[0]
+    chain = backward(tree, reward.values[tree.level_slice(2)])[0]
     assert evaluate_stopping(reward, horizon, "Q") == pytest.approx(chain, abs=TOL)
     # arbitrary stop set vs hand path-sum
     tau = StoppingTime.from_stop_nodes(tree, [1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vopt.errors import HazardError, IdentityError
-from vopt.filtration import AdaptedProcess, StoppingTime, backward_closure, build_tree
+from vopt.filtration import AdaptedProcess, StoppingTime, backward, build_tree
 from vopt.instances import (random_extension, random_hazard_h, random_payoff,
                             random_tree)
 from vopt.random_time import (INF, ExtendedSpace, HazardSpec, cox_extend,
@@ -171,8 +171,8 @@ def test_key_lemma_rejects_unpredictable_input():
 # -- martingale transforms -------------------------------------------------------
 
 def _p_martingale(rng, tree):
-    return AdaptedProcess(tree, backward_closure(
-        tree, rng.uniform(-1.0, 2.0, tree.leaves.size), "P"))
+    return AdaptedProcess(tree, backward(
+        tree, rng.uniform(-1.0, 2.0, tree.leaves.size), measure="P"))
 
 
 def test_transform_trivial_for_independent_time():
@@ -242,7 +242,7 @@ def test_assembly_no_default_reduces_to_european():
     rng = np.random.default_rng(19)
     pay = random_payoff(rng, tree)
     rep = full_price_assembly(ext, pay)
-    plain = backward_closure(tree, pay.P.values[tree.level_slice(2)], "Q")
+    plain = backward(tree, pay.P.values[tree.level_slice(2)])
     assert np.max(np.abs(rep.values[:, 0] - plain[0])) <= TOL
 
 
