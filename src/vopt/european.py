@@ -173,8 +173,9 @@ def reduced_price_closed_form(lam, payoff: PayoffSpec, hz: ReducedHazard,
     """Direct expectation route: terminal payoff discounted by the resolvent
     product plus the recovery leg collected step by step.
 
-    Computed by exact summation over every path (independently of the
-    backward recursion); must agree with ``reduced_price_linear`` node-wise
+    Computed by exact summation over every path, each path's sum ending at
+    the first stop node of ``sigma`` below the node valued (independently of
+    the backward recursion); must agree with ``reduced_price_linear`` node-wise
     to 1e-12, which is asserted unless disabled.
     """
     lam_v = _lambda_values(tree, lam)
@@ -186,9 +187,14 @@ def reduced_price_closed_form(lam, payoff: PayoffSpec, hz: ReducedHazard,
     v = np.empty(tree.n_nodes)
     v[tree.level_slice(n)] = payoff.P.values[tree.level_slice(n)]
     edge_q = tree.q_edge
+    # cut[row, k]: the first level below k where sigma stops on the path (<= n)
+    cut = np.full((paths.shape[0], n + 1), n)
+    for k in range(n - 2, -1, -1):
+        cut[:, k] = np.where(stops[paths[:, k + 1]], k + 1, cut[:, k + 1])
 
     # suffix products along each path, assembled per level from the leaves up
     for k in range(n - 1, -1, -1):
+        cut_k = cut[:, k].tolist()
         sl = tree.level_slice(k)
         nodes = tree.level_nodes(k)
         vals = np.zeros(tree.level_size(k))
@@ -205,14 +211,15 @@ def reduced_price_closed_form(lam, payoff: PayoffSpec, hz: ReducedHazard,
                 w_path = 1.0
                 for j in range(k, n):
                     w_path *= edge_q[paths[row, j + 1]]
+                c = cut_k[row]
                 disc = 1.0
                 contrib = 0.0
-                for j in range(k, n):
+                for j in range(k, c):
                     here = paths[row, j]
                     aa = a[here]
                     contrib += disc * (aa / (1.0 + aa)) * payoff.R.values[here]
                     disc /= (1.0 + aa)
-                contrib += disc * payoff.P.values[paths[row, n]]
+                contrib += disc * payoff.P.values[paths[row, c]]
                 acc += w_path * contrib
             vals[i] = acc
         v[sl] = np.where(stops[sl], payoff.P.values[sl], vals)

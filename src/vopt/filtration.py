@@ -420,12 +420,12 @@ def forward(tree: FiniteTree, incr: np.ndarray, combine, root) -> np.ndarray:
 
 
 def martingale_residual(tree: FiniteTree, x, measure: str = "Q") -> float:
+    """max over k and level-k nodes of |E[x_{k+1} | F_k] - x_k|; NaN as soon as
+    any term is NaN."""
     xv = _vals(x)
-    r = 0.0
-    for k in range(tree.n_periods):
-        ce = condexp(tree, xv, k, measure)
-        r = max(r, float(np.max(np.abs(ce - xv[tree.level_slice(k)]))))
-    return r
+    return float(np.max([np.max(np.abs(condexp(tree, xv, k, measure)
+                                       - xv[tree.level_slice(k)]))
+                         for k in range(tree.n_periods)], initial=0.0))
 
 
 def doob_decomposition(x, measure: str = "Q", tol: float = 1e-12):

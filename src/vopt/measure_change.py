@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, IdentityError
-from .filtration import AdaptedProcess, _vals, forward
+from .filtration import AdaptedProcess, FiniteTree, _vals, forward
 from .random_time import (IDENTITY_TOL, ExtendedSpace, ProjectionBundle,
                           _increments, _path_exponential, _prev_values, projections)
 
@@ -48,10 +48,8 @@ class PhiControl:
         return arr
 
     def phi_pr_atoms(self, ext: ExtendedSpace) -> np.ndarray:
-        nodes = self.phi_pr_nodes(ext)
-        n = ext.base.n_periods
-        dnode = np.take_along_axis(ext.node_at, np.minimum(ext.theta, n)[:, None], 1)[:, 0]
-        return np.where(ext.theta <= n, nodes[dnode], 0.0)
+        return np.where(ext.theta <= ext.base.n_periods,
+                        self.phi_pr_nodes(ext)[ext.default_node], 0.0)
 
     def is_graph_trivial(self, ext: ExtendedSpace, bundle=None,
                          tol: float = IDENTITY_TOL) -> bool:
@@ -82,6 +80,15 @@ def _default_step_weights(ext: ExtendedSpace, bundle: ProjectionBundle,
     return tree.p_edge * zf / e_nt * (1.0 + phi_o * (1.0 - dgt)) * bundle.dAo.values
 
 
+def _children_mean(tree: FiniteTree, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per node, the w-weighted mean of x over its children (0 where they
+    carry no weight), from one bincount over the parent ids."""
+    up = tree.parent[1:]
+    tot = np.bincount(up, weights=w[1:], minlength=tree.n_nodes)
+    num = np.bincount(up, weights=(w * x)[1:], minlength=tree.n_nodes)
+    return np.divide(num, tot, out=np.zeros_like(num), where=tot > 0)
+
+
 def phi_pr_from_marks(ext: ExtendedSpace, marks: np.ndarray,
                       bundle: ProjectionBundle | None = None,
                       phi_o=None) -> np.ndarray:
@@ -99,13 +106,7 @@ def phi_pr_from_marks(ext: ExtendedSpace, marks: np.ndarray,
     phi_o_v = np.zeros(tree.n_nodes) if phi_o is None else _vals(phi_o)
     w = _default_step_weights(ext, bundle, phi_o_v)
     out = np.asarray(marks, dtype=float).copy()
-    for k in range(tree.n_periods):
-        nxt = tree.level_nodes(k + 1)
-        g = tree.parent[nxt] - tree.level_start[k]
-        tot = np.bincount(g, weights=w[nxt], minlength=tree.level_size(k))
-        avg = np.bincount(g, weights=w[nxt] * out[nxt], minlength=tree.level_size(k))
-        shift = np.divide(avg, tot, out=np.zeros_like(avg), where=tot > 0)
-        out[nxt] = np.where(tot[g] > 0, out[nxt] - shift[g], out[nxt])
+    out[1:] -= _children_mean(tree, w, out)[tree.parent[1:]]
     lo = out.min(initial=0.0)
     if lo <= -1.0:
         out = out / (1.0 + abs(lo)) * 0.9  # keep strictly above -1
@@ -149,7 +150,7 @@ def validate_phi(phi: PhiControl, ext: ExtendedSpace,
         a = int(np.flatnonzero(bad)[0])
         viol.append(f"phi^(pr) > -1 violated at atom {a} (value {phi_pr[a]:.6g})")
 
-    dnode = np.take_along_axis(ext.node_at, np.minimum(ext.theta, n)[:, None], 1)[:, 0]
+    dnode = ext.default_node
     jump = 1.0 + phi_o[dnode] * (1.0 - dgt[dnode])
     bad = default & (jump <= 0.0)
     if np.any(bad):
@@ -166,19 +167,13 @@ def validate_phi(phi: PhiControl, ext: ExtendedSpace,
                     f"(survival factor {surv[v]:.6g})")
 
     w = _default_step_weights(ext, bundle, phi_o)
-    marks = phi.phi_pr_nodes(ext)
-    for k in range(n):
-        nxt = tree.level_nodes(k + 1)
-        g = tree.parent[nxt] - tree.level_start[k]
-        m = tree.level_size(k)
-        tot = np.bincount(g, weights=w[nxt], minlength=m)
-        num = np.bincount(g, weights=w[nxt] * marks[nxt], minlength=m)
-        off = np.abs(np.divide(num, tot, out=np.zeros_like(num), where=tot > 0))
-        if np.any(off > tol):
-            u = int(tree.level_nodes(k)[np.argmax(off)])
-            viol.append(f"phi^(pr) not conditionally centered below node {u} "
-                        f"(weighted mean {float(np.max(off)):.3g})")
-            break
+    off = np.abs(_children_mean(tree, w, phi.phi_pr_nodes(ext)))
+    bad_nodes = np.flatnonzero(off > tol)
+    if bad_nodes.size:
+        lvl = tree.level_slice(int(tree.level_of[bad_nodes[0]]))
+        u = lvl.start + int(np.argmax(off[lvl]))
+        viol.append(f"phi^(pr) not conditionally centered below node {u} "
+                    f"(weighted mean {float(np.max(off[lvl])):.3g})")
 
     if phi.cap is not None and np.any(phi_o > phi.cap - 1.0 + tol):
         v = int(np.flatnonzero(phi_o > phi.cap - 1.0 + tol)[0])
@@ -189,8 +184,11 @@ def validate_phi(phi: PhiControl, ext: ExtendedSpace,
 
 @dataclass
 class DensityBundle:
-    """eta^phi on the extension plus its optional projection and atom measure."""
+    """eta^phi on the extension plus its optional projection and atom measure,
+    with the control and the reference-measure projections it was built on."""
 
+    phi: PhiControl
+    reference: ProjectionBundle
     eta: np.ndarray                     # (n_atoms, N+1)
     eta_o_proj: AdaptedProcess          # E[eta_k | F_k] per node
     qphi: np.ndarray                    # Q^phi atom probabilities
@@ -225,23 +223,20 @@ def density_eta(phi: PhiControl, ext: ExtendedSpace,
     g_prev = _prev_values(tree, bundle.G.values, 1.0)
     e_nt = _path_exponential(tree, np.divide(dm, g_prev, out=np.zeros_like(dm),
                                              where=g_prev > 0))
-    stop_idx = np.minimum(ext.theta[:, None], np.arange(n + 1)[None, :])
-    stopped_nodes = np.take_along_axis(ext.node_at, stop_idx, axis=1)
-    market = zf[stopped_nodes] / e_nt[stopped_nodes]
+    market = zf[ext.stopped_node] / e_nt[ext.stopped_node]
 
-    # default factor: E(phi^o . m^G) -- survival and jump one-step factors
-    ks = np.arange(1, n + 1)[None, :]
-    node_steps = ext.node_at[:, 1:]
-    surv_f = 1.0 - phi_o[node_steps] * dgt[node_steps]
-    jump_f = 1.0 + phi_o[node_steps] * (1.0 - dgt[node_steps])
-    theta_col = ext.theta[:, None]
-    stepf = np.where(ks < theta_col, surv_f, np.where(ks == theta_col, jump_f, 1.0))
-    fac2 = np.concatenate([np.ones((ext.n_atoms, 1)), np.cumprod(stepf, axis=1)], axis=1)
+    # default factor: E(phi^o . m^G) -- the step into the time-k node has the
+    # survival factor before theta, the jump factor at theta and 1 after
+    factors = np.stack([1.0 - phi_o * dgt, 1.0 + phi_o * (1.0 - dgt), np.ones(tree.n_nodes)])
+    ks = np.arange(1, n + 1)
+    theta = ext.theta[:, None]
+    state = (ks >= theta).astype(np.int8) + (ks > theta)
+    eta = np.ones((ext.n_atoms, n + 1))
+    np.cumprod(factors[state, ext.node_at[:, 1:]], axis=1, out=eta[:, 1:])
+    eta *= market
 
     # post-default factor: E(phi^pr . A)
-    fac3 = np.where(np.arange(n + 1)[None, :] >= theta_col, 1.0 + phi_pr[:, None], 1.0)
-
-    eta = market * fac2 * fac3
+    np.multiply(eta, 1.0 + phi_pr[:, None], out=eta, where=np.arange(n + 1) >= theta)
     if np.any(eta <= 0.0):
         raise IdentityError("eta^phi not strictly positive despite admissible control")
     if np.max(np.abs(eta[:, 0] - 1.0)) > tol:
@@ -253,11 +248,15 @@ def density_eta(phi: PhiControl, ext: ExtendedSpace,
     if r > 1e-10:
         raise IdentityError(f"eta^phi is not a martingale (residual {r:.3g})")
 
-    proj = np.empty(tree.n_nodes)
-    for k in range(n + 1):
-        proj[tree.level_slice(k)] = ext.f_condexp(eta[:, k], k)
+    proj = ext.f_condexp(eta)
     qphi = ext.prob * eta[:, n]
-    return DensityBundle(eta, AdaptedProcess(tree, proj), qphi, market)
+    return DensityBundle(phi, bundle, eta, AdaptedProcess(tree, proj), qphi, market)
+
+
+def _d_lambda(dens: DensityBundle) -> np.ndarray:
+    """Closed-form hazard increment under Q^phi: (1 + phi^o (1 - dGamma~)) dGamma~."""
+    dgt = dens.reference.dGammaTilde()
+    return (1.0 + _vals(dens.phi.phi_o) * (1.0 - dgt)) * dgt
 
 
 @dataclass
@@ -267,16 +266,16 @@ class HazardPhiReport:
     dual_projection_residual: float     # Eq. dA^{o,Qphi} = G~^phi dLambda
 
 
-def hazard_under_phi(ext: ExtendedSpace, phi: PhiControl,
-                     bundle: ProjectionBundle | None = None,
+def hazard_under_phi(dens: DensityBundle, tilted: ProjectionBundle,
                      tol: float = IDENTITY_TOL) -> HazardPhiReport:
     """Optional hazard of theta under Q^phi, two independent ways.
 
-    (a) rebuild the projections under the tilted atom measure and read off
-    the optional hazard; (b) the closed-form increment
-    (1 + phi^o (1 - dGamma~)) dGamma~.  Node-wise agreement within ``tol`` is
-    asserted (the identity is a theorem; disagreement is an implementation
-    bug).  Also cross-checks the transformed dual projection increment.
+    (a) the projections rebuilt under the tilted atom measure (``tilted`` is
+    ``projections(ext, dens.qphi)``) give the optional hazard; (b) the
+    closed-form increment (1 + phi^o (1 - dGamma~)) dGamma~.  Node-wise
+    agreement within ``tol`` is asserted (the identity is a theorem;
+    disagreement is an implementation bug).  Also cross-checks the
+    transformed dual projection increment.
 
     The rule is a theorem only for controls whose post-default mark vanishes
     on the default support (the literal finite-space reading of the
@@ -284,19 +283,13 @@ def hazard_under_phi(ext: ExtendedSpace, phi: PhiControl,
     mass across default cells and genuinely change the hazard, so they are
     rejected here rather than reported as a failed identity.
     """
-    tree = ext.base
-    if bundle is None:
-        bundle = projections(ext)
-    if not phi.is_graph_trivial(ext, bundle):
+    bundle = dens.reference
+    tree = bundle.ext.base
+    if not dens.phi.is_graph_trivial(bundle.ext, bundle):
         raise AdmissibilityError(
             "hazard transformation rule needs a post-default mark that vanishes "
             "on the default support")
-    dens = density_eta(phi, ext, bundle)
-    tilted = projections(ext, dens.qphi)
-
-    phi_o = _vals(phi.phi_o)
-    dgt = bundle.dGammaTilde()
-    d_lambda = (1.0 + phi_o * (1.0 - dgt)) * dgt
+    d_lambda = _d_lambda(dens)
     lam = forward(tree, d_lambda, np.add, 0.0)
 
     r_main = float(np.max(np.abs(lam - tilted.GammaTilde.values)))
@@ -321,29 +314,21 @@ class GPhiReport:
         return self.pseudo_stopping_residual <= 1e-10
 
 
-def G_under_phi(ext: ExtendedSpace, phi: PhiControl,
-                bundle: ProjectionBundle | None = None,
+def G_under_phi(dens: DensityBundle, tilted: ProjectionBundle,
                 tol: float = IDENTITY_TOL) -> GPhiReport:
     """Azema supermartingale under Q^phi, direct and via the density formula.
 
-    Direct route: survival probability under the tilted atom measure.
+    Direct route: survival probability under the tilted atom measure
+    (``tilted`` is ``projections(ext, dens.qphi)``).
     Formula route: o(eta^phi)^{-1} Z^F E(-Lambda) with discrete exponentials.
     Agreement within ``tol`` is asserted.  The report also carries the
     per-instance diagnostic comparing o(eta^phi) with Z^F = E(M^F): equality
     means theta keeps the pseudo-stopping-time property under Q^phi (an open
     question in general, so it is reported, never assumed).
     """
-    tree = ext.base
-    if bundle is None:
-        bundle = projections(ext)
-    dens = density_eta(phi, ext, bundle)
-    tilted = projections(ext, dens.qphi)
+    tree = dens.reference.ext.base
     direct = tilted.G.values
-
-    phi_o = _vals(phi.phi_o)
-    dgt = bundle.dGammaTilde()
-    d_lambda = (1.0 + phi_o * (1.0 - dgt)) * dgt
-    e_lam = _path_exponential(tree, -d_lambda)
+    e_lam = _path_exponential(tree, -_d_lambda(dens))
     formula = tree.density_zf() * e_lam / dens.eta_o_proj.values
 
     r = float(np.max(np.abs(direct - formula)))
@@ -354,26 +339,17 @@ def G_under_phi(ext: ExtendedSpace, phi: PhiControl,
     return GPhiReport(AdaptedProcess(tree, direct), r, pseudo)
 
 
-def compensated_default_residual(ext: ExtendedSpace, phi: PhiControl,
-                                 bundle: ProjectionBundle | None = None) -> float:
+def compensated_default_residual(dens: DensityBundle) -> float:
     """Max Q^phi-conditional increment of A - Lambda^theta (zero is the theorem).
 
     Like the hazard rule itself, exact only on the subfamily with a
     graph-trivial post-default mark.
     """
-    tree = ext.base
-    n = tree.n_periods
-    if bundle is None:
-        bundle = projections(ext)
-    if not phi.is_graph_trivial(ext, bundle):
+    bundle = dens.reference
+    ext = bundle.ext
+    if not dens.phi.is_graph_trivial(ext, bundle):
         raise AdmissibilityError(
             "compensated-default check needs a graph-trivial post-default mark")
-    dens = density_eta(phi, ext, bundle)
-    phi_o = _vals(phi.phi_o)
-    dgt = bundle.dGammaTilde()
-    d_lambda = (1.0 + phi_o * (1.0 - dgt)) * dgt
-    lam = forward(tree, d_lambda, np.add, 0.0)
-    stop_idx = np.minimum(ext.theta[:, None], np.arange(n + 1)[None, :])
-    stopped = np.take_along_axis(ext.node_at, stop_idx, axis=1)
-    m_g_phi = ext.indicator() - lam[stopped]
+    lam = forward(ext.base, _d_lambda(dens), np.add, 0.0)
+    m_g_phi = ext.indicator() - lam[ext.stopped_node]
     return ext.g_martingale_residual(m_g_phi, dens.qphi)

@@ -7,6 +7,22 @@ G-tilde, dual projections A^o / A^p, hazards Gamma / Gamma-tilde, the
 martingales m, n and their compensated versions on the enlarged filtration)
 is an exact finite sum, so the classical identities can be checked to
 floating-point accuracy rather than proved.
+
+Atom layout.  ``ExtendedSpace`` stores one atom per (leaf path, theta) pair
+with positive mass: ``leaf_row`` (the leaf path), ``theta`` (1..N, or ``INF``
+for "after T") and ``prob``.  ``node_at[a, k]`` is the market node of atom a
+at time k; ``stopped_node[a, k] = node_at[a, min(theta_a, k)]`` is the path
+frozen at default, and ``default_node[a] = node_at[a, min(theta_a, N)]`` the
+node where default is declared (the leaf for "after T").  Tree node ids are
+distinct across levels, which gives the two projection primitives:
+
+- ``f_condexp(x)``: E[x_k | F_k] at every tree node, one ``bincount`` over
+  ``node_at``;
+- ``g_condexp(x)``: E[x_k | G_k] per atom and time, one ``bincount`` over the
+  G_k cells (level-k node, default state at k).
+
+Both add each node's or cell's atoms in atom order, and ``g_condexp`` is a
+direct per-cell Bayes sum that never reads the projections it checks.
 """
 
 from __future__ import annotations
@@ -76,53 +92,63 @@ class ExtendedSpace:
         bad = (self.theta < 1) | ((self.theta > base.n_periods) & (self.theta != INF))
         if np.any(bad):
             raise TreeError("theta index out of range")
-        # market node of each atom at each time index
+        n = base.n_periods
         self.node_at = base.path_nodes()[self.leaf_row]
+        self.stopped_node = np.take_along_axis(
+            self.node_at, np.minimum(self.theta[:, None], np.arange(n + 1)), axis=1)
+        self.default_node = self.stopped_node[:, n]
         self.n_atoms = self.prob.size
 
     # -- conditional-expectation machinery ------------------------------------
 
-    def f_groups(self, k: int) -> np.ndarray:
-        """Group index of each atom within the F_k partition (= node at k)."""
-        return self.node_at[:, k] - self.base.level_start[k]
+    def _sums(self, ids: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+        """Sum ``v`` (per atom, or per atom and time) within each id of ``ids``."""
+        flat = np.broadcast_to(v.reshape(self.n_atoms, -1), ids.shape).ravel()
+        return np.bincount(ids.ravel(), weights=flat, minlength=size)
 
-    def f_condexp(self, payoff: np.ndarray, k: int, weights: np.ndarray | None = None
-                  ) -> np.ndarray:
-        """E[payoff | F_k] as values over the level-k nodes (exact Bayes sums)."""
+    def f_condexp(self, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """E[x_k | F_k] at every tree node (exact Bayes sums).
+
+        ``x`` holds one value per atom, or one column per time k = 0..N; the
+        level-k nodes get the conditional expectation of column k.
+        """
         w = self.prob if weights is None else weights
-        g = self.f_groups(k)
-        m = self.base.level_size(k)
-        num = np.bincount(g, weights=w * payoff, minlength=m)
-        den = np.bincount(g, weights=w, minlength=m)
+        x = np.asarray(x)
+        size = self.base.n_nodes
+        num = self._sums(self.node_at, w[:, None] * x if x.ndim == 2 else w * x, size)
+        den = self._sums(self.node_at, w, size)
         if np.any(den <= 0.0):
+            k = int(self.base.level_of[np.argmax(den <= 0.0)])
             raise HazardError(f"F_{k} cell with zero mass (measure not equivalent)")
         return num / den
 
-    def g_cells(self, k: int) -> np.ndarray:
-        """Atom -> integer id of its G_k cell (market node at k, default state)."""
-        dstate = np.where(self.theta <= k, self.theta, 0)
-        return self.node_at[:, k] * np.int64(self.base.n_periods + 1) + dstate
+    def g_condexp(self, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """E[x_k | G_k] per atom and time, shape (n_atoms, N+1).
 
-    def g_condexp(self, payoff: np.ndarray, k: int, weights: np.ndarray | None = None
-                  ) -> np.ndarray:
-        """E[payoff | G_k] mapped back to atoms (each atom gets its cell's value)."""
+        ``x`` is shaped as for :meth:`f_condexp`, or has fewer columns (times
+        0, 1, ...; the output then has as many).  The G_k cell of an atom is
+        its level-k node and its default state at k (theta if theta <= k,
+        else 0), with id ``node * (N+1) + state``.
+        """
         w = self.prob if weights is None else weights
-        _, inv = np.unique(self.g_cells(k), return_inverse=True)
-        num = np.bincount(inv, weights=w * payoff)
-        den = np.bincount(inv, weights=w)
-        pos = den > 0.0
-        out = np.zeros_like(num)
-        out[pos] = num[pos] / den[pos]
-        return out[inv]
+        x = np.asarray(x)
+        n = self.base.n_periods
+        cols = n + 1 if x.ndim == 1 else x.shape[1]
+        theta = self.theta[:, None]
+        cells = self.node_at[:, :cols] * np.int64(n + 1)
+        np.add(cells, theta, out=cells, where=theta <= np.arange(cols))
+        size = self.base.n_nodes * (n + 1)
+        num = self._sums(cells, w[:, None] * x if x.ndim == 2 else w * x, size)
+        den = self._sums(cells, w, size)
+        return np.divide(num, den, out=np.zeros(size), where=den > 0.0)[cells]
 
     def g_martingale_residual(self, x: np.ndarray, weights: np.ndarray | None = None
                               ) -> float:
-        """max_k, cells |E[x_{k+1} - x_k | G_k]| for a process on the extension."""
-        r = 0.0
-        for k in range(self.base.n_periods):
-            ce = self.g_condexp(x[:, k + 1], k, weights)
-            r = max(r, float(np.max(np.abs(ce - x[:, k]))))
-        return r
+        """max over k and G_k cells of |E[x_{k+1} - x_k | G_k]| for a process on
+        the extension; NaN as soon as any term is NaN."""
+        ce = self.g_condexp(x[:, 1:], weights)     # E[x_{k+1} | G_k] in column k
+        ce -= x[:, :-1]
+        return float(np.max(np.abs(ce, out=ce), initial=0.0))
 
     def indicator(self) -> np.ndarray:
         """A_t = 1{theta <= t} on atoms, shape (n_atoms, N+1)."""
@@ -250,58 +276,39 @@ def projections(ext: ExtendedSpace, weights: np.ndarray | None = None) -> Projec
     tree = ext.base
     n = tree.n_periods
     w = ext.prob if weights is None else np.asarray(weights, dtype=float)
+    theta, ks = ext.theta[:, None], np.arange(n + 1)
+    up = tree.parent[1:]
 
-    G = np.empty(tree.n_nodes)
-    Gt = np.empty(tree.n_nodes)
-    dAo = np.zeros(tree.n_nodes)
+    G = ext.f_condexp(theta > ks, w)
+    Gt = ext.f_condexp(theta >= ks, w)
+    dAo = ext.f_condexp(theta == ks, w)
+    # the step ending at t_{k+1}, projected on F_k (column k), read below the parent
     dAp = np.zeros(tree.n_nodes)
+    dAp[1:] = ext.f_condexp(theta == ks + 1, w)[up]
     pG = np.empty(tree.n_nodes)
-    for k in range(n + 1):
-        sl = tree.level_slice(k)
-        G[sl] = ext.f_condexp((ext.theta > k).astype(float), k, w)
-        Gt[sl] = ext.f_condexp((ext.theta >= k).astype(float), k, w)
-        if k > 0:
-            dAo[sl] = ext.f_condexp((ext.theta == k).astype(float), k, w)
-            par_eq = ext.f_condexp((ext.theta == k).astype(float), k - 1, w)
-            par_g = ext.f_condexp(G[ext.node_at[:, k]], k - 1, w)
-            nodes = tree.level_nodes(k)
-            dAp[sl] = par_eq[tree.parent[nodes] - tree.level_start[k - 1]]
-            pG[sl] = par_g[tree.parent[nodes] - tree.level_start[k - 1]]
     pG[0] = G[0]
+    pG[1:] = ext.f_condexp(G[ext.node_at[:, np.minimum(ks + 1, n)]], w)[up]
 
-    Ao = np.zeros(tree.n_nodes)
-    Ap = np.zeros(tree.n_nodes)
-    Gam = np.zeros(tree.n_nodes)
-    Gamt = np.zeros(tree.n_nodes)
-    for k in range(1, n + 1):
-        nodes = tree.level_nodes(k)
-        par = tree.parent[nodes]
-        Ao[nodes] = Ao[par] + dAo[nodes]
-        Ap[nodes] = Ap[par] + dAp[nodes]
-        if np.any(G[par] <= 0.0):
-            raise HazardError("Azema supermartingale hits zero before the horizon "
-                              "(Assumption of strict positivity violated)")
-        if np.any(Gt[nodes] <= 0.0):
-            raise HazardError("optional survival process hits zero")
-        Gam[nodes] = Gam[par] + dAp[nodes] / G[par]
-        Gamt[nodes] = Gamt[par] + dAo[nodes] / Gt[nodes]
+    if np.any(G[up] <= 0.0):
+        raise HazardError("Azema supermartingale hits zero before the horizon "
+                          "(Assumption of strict positivity violated)")
+    if np.any(Gt[1:] <= 0.0):
+        raise HazardError("optional survival process hits zero")
+    Ao = forward(tree, dAo, np.add, 0.0)
+    Ap = forward(tree, dAp, np.add, 0.0)
+    dGam = np.zeros(tree.n_nodes)
+    dGam[1:] = dAp[1:] / G[up]
+    Gam = forward(tree, dGam, np.add, 0.0)
+    Gamt = forward(tree, dAo / Gt, np.add, 0.0)
 
     # closing martingales of the dual projections (sentinel mass G_N lives after T)
     leaves = tree.leaves
-    ao_inf = Ao[leaves] + G[leaves]
-    ap_inf = Ap[leaves] + G[leaves]
-    m = np.empty(tree.n_nodes)
-    nn = np.empty(tree.n_nodes)
-    for k in range(n + 1):
-        sl = tree.level_slice(k)
-        m[sl] = ext.f_condexp(ao_inf[ext.leaf_row], k, w)
-        nn[sl] = ext.f_condexp(ap_inf[ext.leaf_row], k, w)
+    m = ext.f_condexp((Ao[leaves] + G[leaves])[ext.leaf_row], w)
+    nn = ext.f_condexp((Ap[leaves] + G[leaves])[ext.leaf_row], w)
 
-    stop_idx = np.minimum(ext.theta[:, None], np.arange(n + 1)[None, :])
-    stopped_nodes = np.take_along_axis(ext.node_at, stop_idx, axis=1)
     A = ext.indicator()
-    mG = A - Gamt[stopped_nodes]
-    nG = A - Gam[stopped_nodes]
+    mG = A - Gamt[ext.stopped_node]
+    nG = A - Gam[ext.stopped_node]
 
     P = lambda v: AdaptedProcess(tree, v)
     return ProjectionBundle(ext, w, P(G), P(Gt), P(Ao), P(Ap), P(dAo), P(dAp),
@@ -318,13 +325,14 @@ class IdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        """Largest residual; NaN as soon as any residual is NaN."""
+        return float(np.max(list(self.residuals.values())))
 
     def passed(self, tol: float = IDENTITY_TOL) -> bool:
         return self.max_residual <= tol
 
     def failures(self, tol: float = IDENTITY_TOL) -> list[str]:
-        return [k for k, v in self.residuals.items() if v > tol]
+        return [k for k, v in self.residuals.items() if not v <= tol]
 
 
 def _prev_values(tree: FiniteTree, x: np.ndarray, root_value: float) -> np.ndarray:
@@ -389,18 +397,18 @@ def verify_lemma21(bundle: ProjectionBundle) -> IdentityReport:
 # Conditional-expectation formulas at the random time (key lemma)
 # --------------------------------------------------------------------------
 
+def _group_spread(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """max - min of ``values`` within each group id (-inf for an empty group)."""
+    lo = np.full(size, np.inf)
+    hi = np.full(size, -np.inf)
+    np.minimum.at(lo, groups, values)
+    np.maximum.at(hi, groups, values)
+    return hi - lo
+
+
 def _sibling_spread(tree: FiniteTree, x: np.ndarray) -> float:
     """How far x is from being predictable (constant across sibling groups)."""
-    spread = 0.0
-    for k in range(tree.n_periods):
-        nxt = tree.level_slice(k + 1)
-        lo = np.full(tree.level_size(k), np.inf)
-        hi = np.full(tree.level_size(k), -np.inf)
-        g = tree.parent[nxt] - tree.level_start[k]
-        np.minimum.at(lo, g, x[nxt])
-        np.maximum.at(hi, g, x[nxt])
-        spread = max(spread, float(np.max(hi - lo)))
-    return spread
+    return float(np.max(_group_spread(tree.parent[1:], x[1:], tree.n_nodes), initial=0.0))
 
 
 def key_lemma(ext: ExtendedSpace, x: AdaptedProcess, t: int, variant: str = "optional",
@@ -414,7 +422,6 @@ def key_lemma(ext: ExtendedSpace, x: AdaptedProcess, t: int, variant: str = "opt
     here; a mismatch is an implementation bug, not an input property).
     """
     tree = ext.base
-    n = tree.n_periods
     if variant not in ("optional", "predictable"):
         raise ValueError(f"unknown variant {variant!r}")
     xv = _vals(x)
@@ -422,7 +429,7 @@ def key_lemma(ext: ExtendedSpace, x: AdaptedProcess, t: int, variant: str = "opt
     w = bundle.weights
     if variant == "predictable":
         spread = _sibling_spread(tree, xv)
-        if spread > tol:
+        if not spread <= tol:
             raise ValueError(
                 f"predictable variant needs a predictable process (sibling spread {spread:.3g})")
         d_int = bundle.dAp.values
@@ -436,22 +443,17 @@ def key_lemma(ext: ExtendedSpace, x: AdaptedProcess, t: int, variant: str = "opt
     sentinel = xv[tree.leaves] * bundle.G.values[tree.leaves]
 
     pre_leaf = tail[:, t] + sentinel
-    pre_num = ext.f_condexp(pre_leaf[ext.leaf_row], t, w)
-    g_level = bundle.G.values[tree.level_slice(t)]
-    if np.any(g_level <= 0.0):
+    pre_num = ext.f_condexp(pre_leaf[ext.leaf_row], w)
+    G = bundle.G.values
+    if np.any(G[tree.level_slice(t)] <= 0.0):
         raise HazardError("G = 0 encountered in the key lemma at a live cell")
-    pre_val = pre_num / g_level
+    node = ext.node_at[:, t]
+    x_theta = xv[ext.default_node]
+    out = np.where(ext.theta <= t, x_theta, pre_num[node] / G[node])
 
-    out = np.where(ext.theta <= t,
-                   xv[np.take_along_axis(ext.node_at,
-                                         np.minimum(ext.theta, n)[:, None], 1)[:, 0]],
-                   pre_val[ext.node_at[:, t] - tree.level_start[t]])
-
-    direct_payoff = xv[np.take_along_axis(ext.node_at,
-                                          np.minimum(ext.theta, n)[:, None], 1)[:, 0]]
-    direct = ext.g_condexp(direct_payoff, t, w)
+    direct = ext.g_condexp(x_theta, w)[:, t]
     err = float(np.max(np.abs(out - direct)))
-    if err > tol:
+    if not err <= tol:
         raise IdentityError(f"key lemma ({variant}) disagrees with the direct "
                             f"conditional expectation by {err:.3g}")
     return out
@@ -488,15 +490,8 @@ def jeulin_yor_transform(ext: ExtendedSpace, M: AdaptedProcess,
     dM = _increments(tree, mv)
     dm = _increments(tree, bundle.m.values)
     incr = dM * dm / bundle.Gtilde.values           # bracket over G~ at the current node
-    paths = tree.path_nodes()
-    cum = np.concatenate([np.zeros((paths.shape[0], 1)),
-                          np.cumsum(incr[paths[:, 1:]], axis=1)], axis=1)
-
-    n = tree.n_periods
-    stop_idx = np.minimum(ext.theta[:, None], np.arange(n + 1)[None, :])
-    m_stopped = mv[np.take_along_axis(ext.node_at, stop_idx, axis=1)]
-    cum_stopped = np.take_along_axis(cum[ext.leaf_row], stop_idx, axis=1)
-    return m_stopped - cum_stopped
+    cum = forward(tree, incr, np.add, 0.0)
+    return mv[ext.stopped_node] - cum[ext.stopped_node]
 
 
 def pre_default_transform(ext: ExtendedSpace, M: AdaptedProcess,
@@ -519,17 +514,11 @@ def pre_default_transform(ext: ExtendedSpace, M: AdaptedProcess,
     incr = np.zeros(tree.n_nodes)
     live = bundle.G.values > 0.0
     incr[live] = dM[live] * dn[live] / bundle.G.values[live]
-    paths = tree.path_nodes()
-    cum = np.concatenate([np.zeros((paths.shape[0], 1)),
-                          np.cumsum(incr[paths[:, 1:]], axis=1)], axis=1)
-
-    n = tree.n_periods
-    frozen = np.where(ext.theta == INF, np.int64(n), ext.theta - 1)
-    stop_idx = np.minimum(frozen[:, None], np.arange(n + 1)[None, :])
-    stop_idx = np.maximum(stop_idx, 0)
-    m_stopped = mv[np.take_along_axis(ext.node_at, stop_idx, axis=1)]
-    cum_stopped = np.take_along_axis(cum[ext.leaf_row], stop_idx, axis=1)
-    return m_stopped - cum_stopped
+    cum = forward(tree, incr, np.add, 0.0)
+    # the path frozen one step before default
+    frozen = np.where(ext.theta[:, None] > np.arange(tree.n_periods + 1), ext.stopped_node,
+                      tree.parent[ext.stopped_node])
+    return mv[frozen] - cum[frozen]
 
 
 # --------------------------------------------------------------------------
@@ -562,20 +551,15 @@ def _require_decision_timed(ext: ExtendedSpace, tol: float = 1e-10) -> None:
     default = ext.theta <= n
     np.add.at(kappa, (ext.leaf_row[default], ext.theta[default] - 1),
               ext.prob[default] / leaf_p[ext.leaf_row[default]])
-    paths = tree.path_nodes()
-    for j in range(1, n + 1):
-        anc = paths[:, j - 1]
-        lo: dict[int, float] = {}
-        hi: dict[int, float] = {}
-        for a, v in zip(anc, kappa[:, j - 1]):
-            lo[a] = min(lo.get(a, v), v)
-            hi[a] = max(hi.get(a, v), v)
-        spread = max(hi[a] - lo[a] for a in lo)
-        if spread > tol:
-            raise HazardError(
-                "assembly requires a decision-timed hazard: the conditional "
-                f"default mass at t_{j} varies within a time-{j - 1} node "
-                f"(spread {spread:.3g})")
+    # column j-1 of kappa, grouped by the time-(j-1) node of each path
+    spread = _group_spread(tree.path_nodes()[:, :-1].ravel(), kappa.ravel(), tree.n_nodes)
+    bad = np.flatnonzero(spread > tol)
+    if bad.size:
+        k = int(tree.level_of[bad[0]])
+        raise HazardError(
+            "assembly requires a decision-timed hazard: the conditional "
+            f"default mass at t_{k + 1} varies within a time-{k} node "
+            f"(spread {np.max(spread[tree.level_slice(k)]):.3g})")
 
 
 def step_default_probs(bundle: ProjectionBundle, lam) -> np.ndarray:
@@ -591,17 +575,14 @@ def step_default_probs(bundle: ProjectionBundle, lam) -> np.ndarray:
     lam_v = _vals(lam) if not np.isscalar(lam) else np.full(tree.n_nodes, float(lam))
     if np.any(lam_v <= 0.0):
         raise ValueError("lambda must be strictly positive")
+    inner = slice(0, int(tree.level_start[tree.n_periods]))    # the decision nodes
+    x = dgt[tree.first_child[inner]]
+    step = (1.0 + (lam_v[inner] - 1.0) * (1.0 - x)) * x
+    if np.any(step >= 1.0) or np.any(step < 0.0):
+        raise ValueError("lambda-tilted step probability outside [0, 1); "
+                         "control violates the admissibility bounds")
     pi = np.zeros(tree.n_nodes)
-    for k in range(tree.n_periods):
-        nodes = tree.level_nodes(k)
-        first = tree.first_child[nodes]
-        phi = lam_v[nodes] - 1.0
-        x = dgt[first]
-        step = (1.0 + phi * (1.0 - x)) * x
-        if np.any(step >= 1.0) or np.any(step < 0.0):
-            raise ValueError("lambda-tilted step probability outside [0, 1); "
-                             "control violates the admissibility bounds")
-        pi[nodes] = step
+    pi[inner] = step
     return pi
 
 
@@ -647,9 +628,7 @@ def full_price_assembly(ext: ExtendedSpace, payoff, sigma: StoppingTime | None =
     sig_lvl = ext.sigma_levels(sigma)
     sig_node = sigma.stop_nodes_per_path()[ext.leaf_row]
     default_first = ext.theta <= sig_lvl
-    dec_node = np.take_along_axis(ext.node_at,
-                                  np.maximum(np.minimum(ext.theta, n) - 1, 0)[:, None],
-                                  1)[:, 0]
+    dec_node = tree.parent[ext.default_node]
     terminal_pay = np.where(default_first, payoff.R.values[dec_node],
                             payoff.P.values[sig_node])
 
@@ -658,9 +637,7 @@ def full_price_assembly(ext: ExtendedSpace, payoff, sigma: StoppingTime | None =
     assembled = np.where(pre, reduced.values[ext.node_at],
                          terminal_pay[:, None])
 
-    direct = np.empty((ext.n_atoms, n + 1))
-    for k in range(n + 1):
-        direct[:, k] = ext.g_condexp(terminal_pay, k, qphi)
+    direct = ext.g_condexp(terminal_pay, qphi)
     residual = float(np.max(np.abs(assembled - direct)))
     if residual > tol:
         raise IdentityError(f"full-price assembly disagrees with the direct "

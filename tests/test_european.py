@@ -84,6 +84,22 @@ def test_closed_form_equals_linear_everywhere():
         reduced_price_closed_form(lam, pay, hz, tree)  # internal 1e-12 assert
 
 
+
+@pytest.mark.parametrize("seed", [1, 3, 6, 9, 12, 13, 18, 25, 26, 29, 32, 39])
+def test_closed_form_stops_at_sigma(seed):
+    # sigma stopping before T at the support nodes: each path's sum must end
+    # at the first stop node below the node valued
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, 4, 3)
+    pay = random_payoff(rng, tree)
+    hz = random_delta_hazard(rng, tree)
+    sigma = StoppingTime(tree, hz.support_mask())
+    closed = reduced_price_closed_form(1.0, pay, hz, tree, sigma=sigma,
+                                       check_against_linear=False)
+    lin = reduced_price_linear(1.0, pay, hz, tree, sigma=sigma)
+    assert np.max(np.abs(closed.value.values - lin.value.values)) <= TOL
+    reduced_price_closed_form(1.0, pay, hz, tree, sigma=sigma)  # internal 1e-12 assert
+
 def test_closed_form_limits():
     tree, pay, hz = one_period_instance()
     tiny = reduced_price_closed_form(1e-9, pay, hz, tree)

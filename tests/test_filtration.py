@@ -101,6 +101,16 @@ def test_forward_accumulates_along_paths():
         assert np.array_equal(first_stop[tree.leaves], stopped.stop_nodes_per_path())
 
 
+
+def test_martingale_residual_propagates_nan():
+    # one NaN node after finite residuals: the built-in max dropped it
+    rng = np.random.default_rng(12)
+    tree = random_tree(rng, max_periods=3)
+    x = backward(tree, rng.uniform(0.0, 1.0, tree.leaves.size))
+    assert martingale_residual(tree, x) <= TOL
+    x[tree.leaves[-1]] = np.nan
+    assert np.isnan(martingale_residual(tree, x))
+
 # -- Doob decomposition -------------------------------------------------------
 
 def test_doob_martingale_case():

@@ -26,6 +26,12 @@ def zero_phi(tree):
     return PhiControl(AdaptedProcess.constant(tree, 0.0))
 
 
+def under_phi(ext, phi, b=None):
+    """The density of Q^phi and the projections rebuilt under it."""
+    dens = density_eta(phi, ext, b)
+    return dens, projections(ext, dens.qphi)
+
+
 # -- validate_phi -----------------------------------------------------------------
 
 def test_identity_control_is_valid():
@@ -146,7 +152,7 @@ def test_positivity_iff_validation():
 def test_hazard_rule_identity_control():
     tree, ext = one_period_ext(h=0.5)
     b = projections(ext)
-    rep = hazard_under_phi(ext, zero_phi(tree), b)
+    rep = hazard_under_phi(*under_phi(ext, zero_phi(tree), b))
     assert np.max(np.abs(rep.value.values - b.GammaTilde.values)) <= TOL
 
 
@@ -154,7 +160,7 @@ def test_hazard_rule_hand_increment():
     # 1-period h = 0.5, phi^(o) = 1 -> dLambda = (1 + (1 - dG~)) dG~
     tree, ext = one_period_ext(h=0.5)
     b = projections(ext)
-    rep = hazard_under_phi(ext, PhiControl(AdaptedProcess.constant(tree, 1.0)), b)
+    rep = hazard_under_phi(*under_phi(ext, PhiControl(AdaptedProcess.constant(tree, 1.0)), b))
     dgt = b.dGammaTilde()[1]
     assert rep.value.values[1] == pytest.approx((1.0 + (1.0 - dgt)) * dgt, abs=TOL)
     assert rep.two_route_residual <= TOL
@@ -168,7 +174,7 @@ def test_hazard_rule_near_continuous_limit():
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.02))
     b = projections(ext)
     phi = PhiControl(AdaptedProcess.constant(tree, 0.7))
-    rep = hazard_under_phi(ext, phi, b)
+    rep = hazard_under_phi(*under_phi(ext, phi, b))
     approx = (1.0 + 0.7) * b.GammaTilde.values
     assert np.max(np.abs(rep.value.values - approx)) < 0.02 * approx.max()
 
@@ -181,18 +187,19 @@ def test_two_route_rules_random_controls():
         b = projections(ext)
         for _ in range(4):
             phi = random_phi(rng, ext, b, with_pr=False)
-            h_rep = hazard_under_phi(ext, phi, b)
-            g_rep = G_under_phi(ext, phi, b)
+            dens, tilted = under_phi(ext, phi, b)
+            h_rep = hazard_under_phi(dens, tilted)
+            g_rep = G_under_phi(dens, tilted)
             assert h_rep.two_route_residual <= TOL
             assert h_rep.dual_projection_residual <= TOL
             assert g_rep.two_route_residual <= TOL
-            assert compensated_default_residual(ext, phi, b) <= TOL
+            assert compensated_default_residual(dens) <= TOL
 
 
 def test_g_rule_trivial_control_recovers_g():
     tree, ext = one_period_ext(h=0.3)
     b = projections(ext)
-    rep = G_under_phi(ext, zero_phi(tree), b)
+    rep = G_under_phi(*under_phi(ext, zero_phi(tree), b))
     assert np.max(np.abs(rep.value.values - b.G.values)) <= TOL
 
 
@@ -200,7 +207,7 @@ def test_g_rule_independent_hazard_deterministic():
     tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.4))
     phi = PhiControl(AdaptedProcess.constant(tree, 0.5))
-    rep = G_under_phi(ext, phi, projections(ext))
+    rep = G_under_phi(*under_phi(ext, phi))
     # one-step survival under the tilt: 1 - (1 + 0.5(1 - 0.4)) 0.4 = 0.48
     lvl = rep.value.values[tree.level_slice(2)]
     assert np.allclose(lvl, 0.48 ** 2, atol=TOL)
@@ -212,7 +219,7 @@ def test_pseudo_stopping_diagnostic():
     tree = random_tree(rng, max_periods=3, with_density=False)
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.3))
     phi = random_phi(rng, ext, with_pr=False)
-    rep = G_under_phi(ext, phi)
+    rep = G_under_phi(*under_phi(ext, phi))
     assert rep.looks_pseudo_stopping
     # with a nontrivial market density the stopped factor freezes at theta
     # while Z^F keeps moving, so the equality generally fails (open question:
@@ -220,7 +227,7 @@ def test_pseudo_stopping_diagnostic():
     tree2 = random_tree(rng, max_periods=3, with_density=True)
     ext2 = cox_extend(tree2, HazardSpec.constant(tree2, 0.3))
     phi2 = random_phi(rng, ext2, with_pr=False)
-    rep2 = G_under_phi(ext2, phi2)
+    rep2 = G_under_phi(*under_phi(ext2, phi2))
     assert rep2.two_route_residual <= TOL   # the rule holds regardless
     assert not rep2.looks_pseudo_stopping
 
@@ -233,8 +240,11 @@ def test_hazard_rule_rejects_mark_on_default_support():
     phi = random_phi(rng, ext, b, with_pr=True)
     if phi.is_graph_trivial(ext, b):
         pytest.skip("sampled mark is inert on this instance")
+    dens, tilted = under_phi(ext, phi, b)
     with pytest.raises(AdmissibilityError, match="mark"):
-        hazard_under_phi(ext, phi, b)
+        hazard_under_phi(dens, tilted)
+    with pytest.raises(AdmissibilityError, match="mark"):
+        compensated_default_residual(dens)
 
 
 def test_reduced_price_invariant_to_post_default_mark():

@@ -7,7 +7,7 @@ from vopt.errors import HazardError, IdentityError
 from vopt.filtration import AdaptedProcess, StoppingTime, backward, build_tree
 from vopt.instances import (random_extension, random_hazard_h, random_payoff,
                             random_tree)
-from vopt.random_time import (INF, ExtendedSpace, HazardSpec, cox_extend,
+from vopt.random_time import (INF, ExtendedSpace, HazardSpec, IdentityReport, cox_extend,
                               extend_with_kernel, full_price_assembly,
                               jeulin_yor_transform, key_lemma, pre_default_transform,
                               projections, verify_lemma21)
@@ -168,6 +168,20 @@ def test_key_lemma_rejects_unpredictable_input():
         key_lemma(ext, x, 0, "predictable")
 
 
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_key_lemma_nan_input_raises():
+    # a NaN residual used to slip past the `err > tol` and `spread > tol` checks
+    rng = np.random.default_rng(15)
+    tree = random_tree(rng, max_periods=3)
+    ext = random_extension(rng, tree)
+    vals = rng.uniform(0, 1, tree.n_nodes)
+    vals[tree.leaves[0]] = np.nan
+    with pytest.raises(IdentityError):
+        key_lemma(ext, AdaptedProcess(tree, vals), 0, "optional")
+    with pytest.raises(ValueError, match="predictable"):
+        key_lemma(ext, AdaptedProcess(tree, vals), 0, "predictable")
+
 # -- martingale transforms -------------------------------------------------------
 
 def _p_martingale(rng, tree):
@@ -224,6 +238,25 @@ def test_transform_rejects_non_martingale():
     with pytest.raises(ValueError, match="martingale"):
         jeulin_yor_transform(ext, bad)
 
+
+
+def test_g_martingale_residual_propagates_nan():
+    rng = np.random.default_rng(19)
+    tree = random_tree(rng, max_periods=3)
+    ext = random_extension(rng, tree)
+    M = AdaptedProcess(tree, backward(tree, rng.uniform(-1.0, 2.0, tree.leaves.size),
+                                      measure="P"))
+    x = jeulin_yor_transform(ext, M)
+    assert ext.g_martingale_residual(x) <= TOL
+    x[-1, -1] = np.nan
+    assert np.isnan(ext.g_martingale_residual(x))
+
+
+def test_identity_report_nan_fails():
+    rep = IdentityReport({"a": 0.0, "b": np.nan, "c": 1e-13})
+    assert np.isnan(rep.max_residual)
+    assert not rep.passed()
+    assert rep.failures() == ["b"]
 
 # -- full price assembly ----------------------------------------------------------
 
