@@ -15,7 +15,8 @@ import numpy as np
 from .errors import EnumerationCapError, HazardError, IdentityError, TreeError
 from .filtration import (DEFAULT_ENUM_CAP, AdaptedProcess, FiniteTree, StoppingTime,
                          _enumerate_stop_nodes, _vals, backward, forward, snell_envelope)
-from .european import EuroSolveReport, PayoffSpec, ReducedHazard, _martingale_increments
+from .european import (EuroSolveReport, PayoffSpec, ReducedHazard, _implicit_step,
+                       _martingale_increments)
 
 
 @dataclass
@@ -44,20 +45,6 @@ class GameValueReport:
 # --------------------------------------------------------------------------
 # Reflected solves
 # --------------------------------------------------------------------------
-
-def _implicit_step(kind: str, e: np.ndarray, r: np.ndarray, a: np.ndarray,
-                   lam: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form solution of y = e + f(y) * delta for the supported generators."""
-    if kind == "none":
-        return e
-    if kind == "linear":        # f = lam (r - y); a carries lam * delta
-        return (e + a * r) / (1.0 + a)
-    if kind == "penalty_up":    # f = n (r - y)^+
-        return np.where(r > e, (e + a * r) / (1.0 + a), e)
-    if kind == "penalty_down":  # f = -n (y - r)^+
-        return np.where(r < e, (e + a * r) / (1.0 + a), e)
-    raise ValueError(f"generator not solvable in one implicit step: {kind!r}")
-
 
 def reflected_gbsde_solve(generator: str, coeff, payoff: PayoffSpec,
                           hz: ReducedHazard, tree: FiniteTree,
@@ -111,29 +98,6 @@ def american_reduced_price_phi(lam, payoff: PayoffSpec, hz: ReducedHazard,
                                tree: FiniteTree) -> ReflectedSolveReport:
     """Reflected solve with the linear generator lam (R - y), obstacle P."""
     return reflected_gbsde_solve("linear", lam, payoff, hz, tree)
-
-
-def phi_sweep_extrema(n: float, payoff: PayoffSpec, hz: ReducedHazard,
-                      tree: FiniteTree):
-    """Per-node sup and inf over lam in (0, n] of the linear reflected solve.
-
-    The implicit step is monotone in lam with the sign of R minus the
-    continuation, so the per-node argmax (argmin) is n or the vanishing-lam
-    limit; the sweep therefore reproduces the penalized upper (lower) scheme
-    exactly, which callers assert.
-    """
-    pv, rv = payoff.P.values, payoff.R.values
-
-    def step_up(sl, e):
-        r, a = rv[sl], n * hz.delta[sl]
-        return np.maximum(pv[sl], np.where(r > e, (e + a * r) / (1.0 + a), e))
-
-    def step_lo(sl, e):
-        r, a = rv[sl], n * hz.delta[sl]
-        return np.maximum(pv[sl], np.where(r < e, (e + a * r) / (1.0 + a), e))
-
-    return (AdaptedProcess(tree, backward(tree, pv, step_up)),
-            AdaptedProcess(tree, backward(tree, pv, step_lo)))
 
 
 # --------------------------------------------------------------------------

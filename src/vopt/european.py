@@ -126,13 +126,36 @@ def _martingale_increments(tree: FiniteTree, value: np.ndarray, cont: np.ndarray
     return zinc
 
 
+def _implicit_step(kind: str, e: np.ndarray, r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Closed-form solution y of y = e + f(y) * delta for the supported generators.
+
+    ``a`` carries the coefficient times the step hazard (lambda * delta or
+    n * delta).  'linear' (f = lambda (r - y)) is y = (e + a r) / (1 + a);
+    'penalty_up' (f = n (r - y)^+) takes that value where r > e and e
+    elsewhere; 'penalty_down' (f = -n (y - r)^+) takes it where r < e;
+    'none' returns e.  Every backward solver of the package steps through
+    here; only the closed-form oracle keeps its own arithmetic.
+    """
+    if kind == "none":
+        return e
+    if kind not in ("linear", "penalty_up", "penalty_down"):
+        raise ValueError(f"generator not solvable in one implicit step: {kind!r}")
+    y = (e + a * r) / (1.0 + a)
+    if kind == "penalty_up":
+        return np.where(r > e, y, e)
+    if kind == "penalty_down":
+        return np.where(r < e, y, e)
+    return y
+
+
 def _implicit_backward(tree: FiniteTree, payoff: PayoffSpec, delta: np.ndarray,
                        step_fn, sigma: StoppingTime | None):
     """Shared backward engine: implicit one-step solve, stopped at sigma.
 
     ``step_fn(e, r, d, sl)`` returns the pre-exercise value at the level-k
-    nodes from continuation e, recovery r and step hazard d.  Returns the
-    sigma-stopped value process and per-node martingale increments.
+    nodes from continuation e, recovery r and step hazard d, through
+    :func:`_implicit_step`.  Returns the sigma-stopped value process and
+    per-node martingale increments.
     """
     stops, anchor = _stop_masks(tree, sigma)
     pv, rv = payoff.P.values, payoff.R.values
@@ -160,93 +183,67 @@ def reduced_price_linear(lam, payoff: PayoffSpec, hz: ReducedHazard, tree: Finit
         raise HazardError("delta < 0")
 
     def step(e, r, d, sl):
-        a = lam_v[sl] * d
-        return (e + a * r) / (1.0 + a)
+        return _implicit_step("linear", e, r, lam_v[sl] * d)
 
     v, z = _implicit_backward(tree, payoff, hz.delta, step, sigma)
     return EuroSolveReport(AdaptedProcess(tree, v), z)
 
 
 def reduced_price_closed_form(lam, payoff: PayoffSpec, hz: ReducedHazard,
-                              tree: FiniteTree, sigma: StoppingTime | None = None,
-                              check_against_linear: bool = True) -> EuroSolveReport:
-    """Direct expectation route: terminal payoff discounted by the resolvent
-    product plus the recovery leg collected step by step.
+                              tree: FiniteTree, sigma: StoppingTime | None = None
+                              ) -> EuroSolveReport:
+    """Direct expectation route: the payoff at the first stop of ``sigma``
+    discounted by the resolvent product, plus the recovery leg collected step
+    by step, summed over the paths below each node.
 
-    Computed by exact summation over every path, each path's sum ending at
-    the first stop node of ``sigma`` below the node valued (independently of
-    the backward recursion); must agree with ``reduced_price_linear`` node-wise
-    to 1e-12, which is asserted unless disabled.
+    One sweep over the columns of ``tree.path_nodes()`` from the leaves up.
+    Each leaf path carries its pathwise value from level k: recovery
+    a_k / (1 + a_k) R_k now plus 1 / (1 + a_k) times what the path holds at
+    k+1 (P there if ``sigma`` stops there, else its value from k+1); and its
+    Q-weight below level k.  One ``bincount`` puts the weighted sum on the
+    level-k nodes.  No conditional expectation is formed, so the route is
+    independent of the backward recursion; it must agree with
+    ``reduced_price_linear`` node-wise to 1e-12, which is asserted.
     """
     lam_v = _lambda_values(tree, lam)
     stops, anchor = _stop_masks(tree, sigma)
     paths = tree.path_nodes()
     n = tree.n_periods
+    pv, rv = payoff.P.values, payoff.R.values
 
     a = lam_v * hz.delta                       # a_{k+1} read at the time-k node
-    v = np.empty(tree.n_nodes)
-    v[tree.level_slice(n)] = payoff.P.values[tree.level_slice(n)]
-    edge_q = tree.q_edge
-    # cut[row, k]: the first level below k where sigma stops on the path (<= n)
-    cut = np.full((paths.shape[0], n + 1), n)
-    for k in range(n - 2, -1, -1):
-        cut[:, k] = np.where(stops[paths[:, k + 1]], k + 1, cut[:, k + 1])
-
-    # suffix products along each path, assembled per level from the leaves up
+    v = pv.copy()
+    held = pv[paths[:, n]]                     # pathwise value from the level below
+    weight = np.ones(paths.shape[0])           # Q-weight of the path below the level
     for k in range(n - 1, -1, -1):
-        cut_k = cut[:, k].tolist()
+        below, here = paths[:, k + 1], paths[:, k]
+        held = np.where(stops[below], pv[below], held)
+        weight *= tree.q_edge[below]
+        ak = a[here]
+        held = ak / (1.0 + ak) * rv[here] + held / (1.0 + ak)
+        start = int(tree.level_start[k])
+        sums = np.bincount(here - start, weight * held, minlength=tree.level_size(k))
         sl = tree.level_slice(k)
-        nodes = tree.level_nodes(k)
-        vals = np.zeros(tree.level_size(k))
-        # exact sum over sub-paths: enumerate leaf segments below each node
-        seg = paths[:, k]
-        order = np.argsort(seg, kind="stable")
-        seg_sorted = seg[order]
-        bounds = np.searchsorted(seg_sorted, nodes)
-        bounds = np.append(bounds, seg.size)
-        for i, u in enumerate(nodes):
-            rows = order[bounds[i]:bounds[i + 1]]
-            acc = 0.0
-            for row in rows:
-                w_path = 1.0
-                for j in range(k, n):
-                    w_path *= edge_q[paths[row, j + 1]]
-                c = cut_k[row]
-                disc = 1.0
-                contrib = 0.0
-                for j in range(k, c):
-                    here = paths[row, j]
-                    aa = a[here]
-                    contrib += disc * (aa / (1.0 + aa)) * payoff.R.values[here]
-                    disc /= (1.0 + aa)
-                contrib += disc * payoff.P.values[paths[row, c]]
-                acc += w_path * contrib
-            vals[i] = acc
-        v[sl] = np.where(stops[sl], payoff.P.values[sl], vals)
+        v[sl] = np.where(stops[sl], pv[sl], sums)
     v = v[anchor]
 
-    report = EuroSolveReport(AdaptedProcess(tree, v), np.zeros(tree.n_nodes))
-    if check_against_linear:
-        lin = reduced_price_linear(lam, payoff, hz, tree, sigma)
-        err = float(np.max(np.abs(lin.value.values - v)))
-        if err > 1e-12:
-            raise IdentityError(f"closed-form and recursion routes disagree by {err:.3g}")
-        report.martingale_increments = lin.martingale_increments
-    return report
+    lin = reduced_price_linear(lam, payoff, hz, tree, sigma)
+    err = float(np.max(np.abs(lin.value.values - v)))
+    if err > 1e-12:
+        raise IdentityError(f"closed-form and recursion routes disagree by {err:.3g}")
+    return EuroSolveReport(AdaptedProcess(tree, v), lin.martingale_increments)
 
 
 def penalized_european(n: float, payoff: PayoffSpec, hz: ReducedHazard,
-                       tree: FiniteTree, sigma: StoppingTime | None = None
-                       ) -> EuroSolveReport:
+                       tree: FiniteTree) -> EuroSolveReport:
     """Implicit step for the one-sided penalty generator n (R - y)^+."""
     if n < 0:
         raise ValueError("penalty level must be nonnegative")
 
     def step(e, r, d, sl):
-        a = n * d
-        return np.where(r > e, (e + a * r) / (1.0 + a), e)
+        return _implicit_step("penalty_up", e, r, n * d)
 
-    v, z = _implicit_backward(tree, payoff, hz.delta, step, sigma)
+    v, z = _implicit_backward(tree, payoff, hz.delta, step, None)
     return EuroSolveReport(AdaptedProcess(tree, v), z)
 
 
@@ -283,12 +280,9 @@ def sup_over_phi(n: float, payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTr
 
     def step(e, r, d, sl):
         if mode == "closed_form":
-            a = n * d
-            up = (e + a * r) / (1.0 + a)
-            best = np.where(r > e, up, e)
             lam_star[sl] = np.where(r > e, n, 0.0)
-            return best
-        vals = np.stack([(e + lam * d * r) / (1.0 + lam * d) for lam in lams])
+            return _implicit_step("penalty_up", e, r, n * d)
+        vals = np.stack([_implicit_step("linear", e, r, lam * d) for lam in lams])
         best = np.max(vals, axis=0)
         lam_star[sl] = lams[np.argmax(vals, axis=0)]
         return best

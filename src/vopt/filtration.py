@@ -439,17 +439,19 @@ def doob_decomposition(x, measure: str = "Q", tol: float = 1e-12):
     if tree is None:
         raise TreeError("doob_decomposition expects an AdaptedProcess")
     xv = x.values
-    b = np.zeros(tree.n_nodes)
-    for k in range(tree.n_periods):
-        ce = condexp(tree, xv, k, measure)
-        cur = xv[tree.level_slice(k)]
-        drop = cur - ce
-        if np.any(drop < -tol):
-            raise TreeError(f"input is not a supermartingale at level {k} "
-                            f"(violation {float(np.min(drop)):.3g})")
-        drop = np.maximum(drop, 0.0)
-        nxt = tree.level_nodes(k + 1)
-        b[nxt] = b[tree.parent[nxt]] + drop[tree.parent[nxt] - tree.level_start[k]]
+    drop = np.zeros(tree.n_nodes)         # x_k - E[x_{k+1} | F_k]; 0 at the horizon
+
+    def step(sl, e):                      # the sweep carries x itself
+        drop[sl] = xv[sl] - e
+        return xv[sl]
+
+    backward(tree, xv, step, measure)
+    bad = np.flatnonzero(drop < -tol)
+    if bad.size:
+        k = int(tree.level_of[bad[0]])
+        raise TreeError(f"input is not a supermartingale at level {k} "
+                        f"(violation {float(np.min(drop[tree.level_slice(k)])):.3g})")
+    b = forward(tree, np.maximum(drop, 0.0)[tree.parent], np.add, 0.0)
     n_mart = AdaptedProcess(tree, xv + b)
     return n_mart, AdaptedProcess(tree, b)
 

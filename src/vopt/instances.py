@@ -13,7 +13,7 @@ import numpy as np
 from .errors import EnumerationCapError
 from .european import PayoffSpec, ReducedHazard
 from .filtration import AdaptedProcess, FiniteTree, build_tree, count_stopping_times
-from .measure_change import PhiControl, phi_pr_from_marks, validate_phi
+from .measure_change import PhiControl, phi_pr_from_marks
 from .random_time import ExtendedSpace, HazardSpec, cox_extend, extend_with_kernel, projections
 
 
@@ -85,7 +85,8 @@ def random_phi(rng: np.random.Generator, ext: ExtendedSpace, bundle=None,
     strict-positivity bounds of the instance.
 
     ``with_pr=False`` yields the graph-trivial subfamily on which the hazard
-    transformation rule is an exact theorem.
+    transformation rule is an exact theorem.  The control is not validated
+    here: :func:`density_eta` checks it once, when its density is built.
     """
     if bundle is None:
         bundle = projections(ext)
@@ -104,11 +105,7 @@ def random_phi(rng: np.random.Generator, ext: ExtendedSpace, bundle=None,
     if with_pr:
         phi_pr = phi_pr_from_marks(ext, rng.uniform(-0.8, 0.8, tree.n_nodes),
                                    bundle, phi_o)
-    phi = PhiControl(AdaptedProcess(tree, phi_o), phi_pr, cap=cap)
-    rep = validate_phi(phi, ext, bundle)
-    if not rep.ok:
-        raise AssertionError(f"factory produced inadmissible phi: {rep.violations}")
-    return phi
+    return PhiControl(AdaptedProcess(tree, phi_o), phi_pr, cap=cap)
 
 
 @dataclass

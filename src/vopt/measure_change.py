@@ -197,21 +197,22 @@ class DensityBundle:
 
 def density_eta(phi: PhiControl, ext: ExtendedSpace,
                 bundle: ProjectionBundle | None = None,
-                validate: bool = True, tol: float = IDENTITY_TOL) -> DensityBundle:
+                tol: float = IDENTITY_TOL) -> DensityBundle:
     """Build eta^phi as the product of the three discrete exponentials.
 
-    Internally re-verified to be a strictly positive martingale in the
-    enlarged filtration with eta_0 = 1 and E[eta_T] = 1; a failure raises
-    ``IdentityError`` since it cannot come from admissible input.
+    The control is checked with :func:`validate_phi` first; an inadmissible
+    one raises ``AdmissibilityError``.  Internally re-verified to be a
+    strictly positive martingale in the enlarged filtration with eta_0 = 1
+    and E[eta_T] = 1; a failure raises ``IdentityError`` since it cannot come
+    from admissible input.
     """
     tree = ext.base
     n = tree.n_periods
     if bundle is None:
         bundle = projections(ext)
-    if validate:
-        rep = validate_phi(phi, ext, bundle, tol)
-        if not rep.ok:
-            raise AdmissibilityError("; ".join(rep.violations))
+    rep = validate_phi(phi, ext, bundle, tol)
+    if not rep.ok:
+        raise AdmissibilityError("; ".join(rep.violations))
 
     phi_o = _vals(phi.phi_o)
     phi_pr = phi.phi_pr_atoms(ext)

@@ -411,21 +411,22 @@ def _sibling_spread(tree: FiniteTree, x: np.ndarray) -> float:
     return float(np.max(_group_spread(tree.parent[1:], x[1:], tree.n_nodes), initial=0.0))
 
 
-def key_lemma(ext: ExtendedSpace, x: AdaptedProcess, t: int, variant: str = "optional",
-              weights: np.ndarray | None = None, tol: float = IDENTITY_TOL) -> np.ndarray:
+def key_lemma(bundle: ProjectionBundle, x: AdaptedProcess, t: int,
+              variant: str = "optional", tol: float = IDENTITY_TOL) -> np.ndarray:
     """E[X_theta | G_t] assembled from the dual-projection formula, per atom.
 
     Pre-default cells use G_t^{-1} E[sum_{j>t} X_j dA_j + X_T G_T | F_t] with
     the optional (dA^o) or predictable (dA^p) integrator; on the "after T"
-    atom X_theta is read at the horizon.  The result must match the direct
-    conditional expectation on the extension, node-wise to ``tol`` (checked
-    here; a mismatch is an implementation bug, not an input property).
+    atom X_theta is read at the horizon.  The extension and the atom measure
+    are those of ``bundle``.  The result must match the direct conditional
+    expectation on the extension, node-wise to ``tol`` (checked here; a
+    mismatch is an implementation bug, not an input property).
     """
+    ext = bundle.ext
     tree = ext.base
     if variant not in ("optional", "predictable"):
         raise ValueError(f"unknown variant {variant!r}")
     xv = _vals(x)
-    bundle = projections(ext, weights)
     w = bundle.weights
     if variant == "predictable":
         spread = _sibling_spread(tree, xv)

@@ -96,8 +96,8 @@ def suite_projections_identities(sc: Scenario) -> SuiteResult:
         xp[0] = x.values[0]
         xp[1:] = x.values[tree.parent[1:]]
         for t in range(tree.n_periods + 1):
-            key_lemma(ext, x, t, "optional", tol=tol)
-            key_lemma(ext, AdaptedProcess(tree, xp), t, "predictable", tol=tol)
+            key_lemma(bundle, x, t, "optional", tol=tol)
+            key_lemma(bundle, AdaptedProcess(tree, xp), t, "predictable", tol=tol)
         count += 1
     return SuiteResult("projections-identities", worst <= tol, worst, tol, 0.0,
                        {"instances": count})
@@ -187,20 +187,21 @@ def suite_european_duality(sc: Scenario) -> SuiteResult:
     lam = 1.0 + 0.5 * np.sin(np.arange(tree.n_nodes))   # deterministic tilt
     reduced_id = reduced_price_closed_form(AdaptedProcess(tree, lam), payoff, hz, tree)
     oracle_gap = 0.0
+    skipped = {}
     try:
         reward = payoff.R.values.copy()
         term = tree.level_slice(tree.n_periods)
         reward[term] = payoff.P.values[term]
         bf = brute_force_snell_root(AdaptedProcess(tree, reward), "Q", hz.support_mask())
         oracle_gap = abs(bf - snell.value.values[0])
-    except EnumerationCapError:
-        pass
+    except EnumerationCapError as e:
+        skipped = {"enumeration": f"skipped: {e}"}
     worst = _worst(worst, oracle_gap)
     passed = worst <= tol and mono_ok and oracle_gap <= tol_id
     return SuiteResult("european-duality", passed, worst, tol, 0.0,
                        {"monotone": mono_ok, "gap_trace": gaps,
                         "ladder": list(sc.penalty_ladder),
-                        "enumeration_gap": oracle_gap})
+                        "enumeration_gap": oracle_gap, **skipped})
 
 
 def suite_dirac_convergence(sc: Scenario) -> SuiteResult:
@@ -251,15 +252,16 @@ def suite_american_upper(sc: Scenario) -> SuiteResult:
         gaps.append(float(np.max(np.abs(target.value.values - val))))
     worst = gaps[-1]
     oracle_gap = 0.0
+    skipped = {}
     try:
         bf = brute_force_snell_root(modified_payoff(payoff, hz, tree), "Q")
         oracle_gap = abs(bf - target.value.values[0])
-    except EnumerationCapError:
-        pass
+    except EnumerationCapError as e:
+        skipped = {"enumeration": f"skipped: {e}"}
     passed = worst <= tol and mono_ok and oracle_gap <= tol_id
     return SuiteResult("american-upper", passed, _worst(worst, oracle_gap), tol, 0.0,
                        {"monotone": mono_ok, "gap_trace": gaps,
-                        "enumeration_gap": oracle_gap})
+                        "enumeration_gap": oracle_gap, **skipped})
 
 
 def suite_game_duality(sc: Scenario) -> SuiteResult:

@@ -6,7 +6,7 @@ import pytest
 from vopt.american import (american_reduced_price_phi, american_upper_price,
                            brute_force_game, constrained_dynkin_game, game_payoff,
                            modified_payoff, penalized_american_lower,
-                           penalized_american_upper, phi_sweep_extrema,
+                           penalized_american_upper,
                            rbsde_vs_weighted_optstop, reflected_gbsde_solve)
 from vopt.errors import TreeError
 from vopt.european import PayoffSpec, ReducedHazard, reduced_price_linear
@@ -181,31 +181,18 @@ def test_upper_price_limit_and_oracle():
         assert target.value.values[0] == pytest.approx(bf, abs=TOL)
 
 
-def test_phi_sweep_matches_penalized_both_sides():
-    rng = np.random.default_rng(69)
-    for _ in range(5):
-        tree = random_tree(rng)
-        pay = random_payoff(rng, tree)
-        hz = random_delta_hazard(rng, tree)
-        n = 16.0
-        up, lo = phi_sweep_extrema(n, pay, hz, tree)
-        assert np.max(np.abs(up.values
-                             - penalized_american_upper(n, pay, hz, tree).value.values)) <= TOL
-        assert np.max(np.abs(lo.values
-                             - penalized_american_lower(n, pay, hz, tree).value.values)) <= TOL
-
-
 def test_reduced_phi_between_bounds():
     rng = np.random.default_rng(70)
     tree = random_tree(rng)
     pay = random_payoff(rng, tree)
     hz = random_delta_hazard(rng, tree)
     n = 8.0
-    up, lo = phi_sweep_extrema(n, pay, hz, tree)
+    up = penalized_american_upper(n, pay, hz, tree).value.values
+    lo = penalized_american_lower(n, pay, hz, tree).value.values
     for lam in (0.05, 1.0, 7.9):
         mid = american_reduced_price_phi(lam, pay, hz, tree).value.values
-        assert np.all(mid <= up.values + TOL)
-        assert np.all(mid >= lo.values - TOL)
+        assert np.all(mid <= up + TOL)
+        assert np.all(mid >= lo - TOL)
 
 
 # -- the constrained game ------------------------------------------------------------------

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from vopt.errors import HazardError
-from vopt.european import (DiracTable, PayoffSpec, ReducedHazard, constrained_snell,
-                           dirac_convergence_check, penalized_european,
-                           reduced_price_closed_form, reduced_price_linear,
-                           sup_over_phi)
+from vopt.european import (DiracTable, PayoffSpec, ReducedHazard, _implicit_step,
+                           constrained_snell, dirac_convergence_check,
+                           penalized_european, reduced_price_closed_form,
+                           reduced_price_linear, sup_over_phi)
 from vopt.filtration import (AdaptedProcess, StoppingTime, backward,
                              brute_force_snell_root, build_tree)
 from vopt.instances import random_delta_hazard, random_payoff, random_tree
@@ -72,6 +72,23 @@ def test_value_bounded_by_payoffs():
         assert rep.value.values.min() >= -TOL
 
 
+def test_implicit_step_solves_each_generator():
+    # y = e + f(y) delta with a = coeff * delta, for every supported generator
+    rng = np.random.default_rng(44)
+    e, r = rng.uniform(0, 2, 50), rng.uniform(0, 2, 50)
+    coeff, delta = 3.0, rng.uniform(0, 1.5, 50)
+    a = coeff * delta
+    gens = {"none": lambda y: 0.0 * y,
+            "linear": lambda y: coeff * (r - y),
+            "penalty_up": lambda y: coeff * np.maximum(r - y, 0.0),
+            "penalty_down": lambda y: -coeff * np.maximum(y - r, 0.0)}
+    for kind, f in gens.items():
+        y = _implicit_step(kind, e, r, a)
+        assert np.max(np.abs(y - (e + f(y) * delta))) <= TOL
+    with pytest.raises(ValueError, match="not solvable"):
+        _implicit_step("quadratic", e, r, a)
+
+
 # -- closed form ----------------------------------------------------------------------
 
 def test_closed_form_equals_linear_everywhere():
@@ -94,11 +111,12 @@ def test_closed_form_stops_at_sigma(seed):
     pay = random_payoff(rng, tree)
     hz = random_delta_hazard(rng, tree)
     sigma = StoppingTime(tree, hz.support_mask())
-    closed = reduced_price_closed_form(1.0, pay, hz, tree, sigma=sigma,
-                                       check_against_linear=False)
+    closed = reduced_price_closed_form(1.0, pay, hz, tree, sigma=sigma)  # internal assert
     lin = reduced_price_linear(1.0, pay, hz, tree, sigma=sigma)
     assert np.max(np.abs(closed.value.values - lin.value.values)) <= TOL
-    reduced_price_closed_form(1.0, pay, hz, tree, sigma=sigma)  # internal 1e-12 assert
+    # at the first stop node of each path the value is the payoff there
+    first = sigma.stop_nodes_per_path()
+    assert np.array_equal(closed.value.values[first], pay.P.values[first])
 
 def test_closed_form_limits():
     tree, pay, hz = one_period_instance()

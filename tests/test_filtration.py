@@ -139,6 +139,17 @@ def test_doob_rejects_submartingale():
         doob_decomposition(x)
 
 
+def test_doob_names_first_violating_level():
+    # binary uniform two-period tree: nodes 0 | 1 2 | 3 4 5 6
+    tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
+    x = np.array([1.0, 1.0, 1.0, 1.5, 1.5, 0.5, 0.2])     # level-1 drops -0.5 and 0.65
+    with pytest.raises(TreeError, match=r"at level 1 \(violation -0\.5\)"):
+        doob_decomposition(AdaptedProcess(tree, x))
+    x[0] = 0.0                                             # level 0 now fails first
+    with pytest.raises(TreeError, match=r"at level 0 \(violation -1\)"):
+        doob_decomposition(AdaptedProcess(tree, x))
+
+
 def test_doob_properties_random():
     rng = np.random.default_rng(4)
     for _ in range(10):

@@ -115,6 +115,18 @@ def test_density_hand_value_one_period():
     assert float(np.dot(ext.prob, dens.eta[:, -1])) == pytest.approx(1.0, abs=TOL)
 
 
+def test_random_phi_is_admissible():
+    # the factory no longer validates its output; density_eta does, once
+    rng = np.random.default_rng(34)
+    for _ in range(10):
+        tree = random_tree(rng)
+        ext = random_extension(rng, tree)
+        b = projections(ext)
+        for with_pr in (False, True):
+            rep = validate_phi(random_phi(rng, ext, b, with_pr=with_pr), ext, b)
+            assert rep.ok, rep.violations
+
+
 def test_density_martingale_normalisation_random():
     rng = np.random.default_rng(30)
     for _ in range(10):

@@ -1,10 +1,14 @@
-"""Property tests of the two projection primitives of ExtendedSpace."""
+"""Property tests of the two projection primitives of ExtendedSpace and of the
+closed-form reduced price."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vopt.instances import random_extension, random_tree
+from vopt.european import reduced_price_closed_form, reduced_price_linear
+from vopt.filtration import AdaptedProcess, StoppingTime
+from vopt.instances import (random_delta_hazard, random_extension, random_payoff,
+                            random_tree)
 
 TOL = 1e-12
 
@@ -68,3 +72,54 @@ def test_g_condexp_keeps_g_measurable(inst):
     state = np.where(ext.theta[:, None] <= ks, ext.theta[:, None], n + 1)
     x = table[ext.node_at, state]
     assert np.allclose(ext.g_condexp(x, w), x, rtol=0, atol=TOL)
+
+
+# -- the closed-form oracle against the backward recursion ----------------------
+
+def pathwise_price(lam_v, pay, hz, tree, stop):
+    """Each node's value as an explicit sum over the leaf paths below it, each
+    path's sum ending at its first stop node; a stop node above fixes the value."""
+    a = lam_v * hz.delta
+    pv, rv, q = pay.P.values, pay.R.values, tree.q_edge
+    paths = tree.path_nodes()
+    n = tree.n_periods
+    out = np.empty(tree.n_nodes)
+    for u in range(tree.n_nodes):
+        k = int(tree.level_of[u])
+        rows = np.flatnonzero(paths[:, k] == u)
+        above = [v for v in paths[rows[0], :k + 1] if stop[v]]
+        if above:
+            out[u] = pv[above[0]]
+            continue
+        total = 0.0
+        for row in rows:
+            disc, value = 1.0, 0.0
+            for j in range(k, n):
+                v, nxt = paths[row, j], paths[row, j + 1]
+                value += disc * a[v] / (1.0 + a[v]) * rv[v]
+                disc /= 1.0 + a[v]
+                if stop[nxt]:
+                    break
+            total += float(np.prod(q[paths[row, k + 1:]])) * (value + disc * pv[nxt])
+        out[u] = total
+    return out
+
+
+@props
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.9), st.booleans())
+def test_closed_form_equals_linear_under_random_sigma(seed, p_stop, scalar_lam):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_periods=4, max_branching=3)
+    pay = random_payoff(rng, tree)
+    hz = random_delta_hazard(rng, tree)
+    lam_v = (np.full(tree.n_nodes, rng.uniform(0.05, 50.0)) if scalar_lam
+             else rng.uniform(0.05, 5.0, tree.n_nodes))
+    lam = float(lam_v[0]) if scalar_lam else AdaptedProcess(tree, lam_v)
+    stop = rng.random(tree.n_nodes) < p_stop
+    stop[tree.leaves] = True
+    sigma = StoppingTime(tree, stop)
+    closed = reduced_price_closed_form(lam, pay, hz, tree, sigma)   # asserts 1e-12 inside
+    lin = reduced_price_linear(lam, pay, hz, tree, sigma)
+    assert np.max(np.abs(closed.value.values - lin.value.values)) <= TOL
+    assert np.max(np.abs(closed.value.values
+                         - pathwise_price(lam_v, pay, hz, tree, stop))) <= TOL

@@ -126,11 +126,12 @@ def test_key_lemma_constant():
     rng = np.random.default_rng(12)
     tree = random_tree(rng)
     ext = random_extension(rng, tree)
+    b = projections(ext)
     c = AdaptedProcess.constant(tree, 2.5)
     for t in range(tree.n_periods + 1):
-        out = key_lemma(ext, c, t, "optional")
+        out = key_lemma(b, c, t, "optional")
         assert np.allclose(out, 2.5, atol=TOL)
-        out = key_lemma(ext, c, t, "predictable")
+        out = key_lemma(b, c, t, "predictable")
         assert np.allclose(out, 2.5, atol=TOL)
 
 
@@ -139,7 +140,7 @@ def test_key_lemma_expected_capped_default_time():
     tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.5))
     x = AdaptedProcess(tree, tree.grid.times[tree.level_of])
-    out = key_lemma(ext, x, 0, "predictable")
+    out = key_lemma(projections(ext), x, 0, "predictable")
     # theta = 1 w.p. 1/2, theta = 2 w.p. 1/4, after-T (reads t = 2) w.p. 1/4
     assert np.allclose(out, 0.5 * 1 + 0.25 * 2 + 0.25 * 2, atol=TOL)
 
@@ -150,7 +151,7 @@ def test_key_lemma_pre_default_part_at_zero():
     ext = random_extension(rng, tree)
     b = projections(ext)
     x = AdaptedProcess(tree, rng.uniform(0, 2, tree.n_nodes))
-    out = key_lemma(ext, x, 0, "optional")
+    out = key_lemma(b, x, 0, "optional")
     # at t = 0 the pre-default value is G_0^{-1} E[integral of X dA^o + X_T G_T]
     paths = tree.path_nodes()
     leg = (x.values[paths[:, 1:]] * b.dAo.values[paths[:, 1:]]).sum(axis=1)
@@ -165,8 +166,23 @@ def test_key_lemma_rejects_unpredictable_input():
     ext = random_extension(rng, tree)
     x = AdaptedProcess(tree, rng.uniform(0, 1, tree.n_nodes))
     with pytest.raises(ValueError, match="predictable"):
-        key_lemma(ext, x, 0, "predictable")
+        key_lemma(projections(ext), x, 0, "predictable")
 
+
+def test_key_lemma_reads_the_bundle_measure():
+    # the extension and the atom measure come from the bundle: under a tilted
+    # measure the formula still matches the direct G_t-expectation (asserted
+    # inside), and differs from the value under the extension's own measure
+    rng = np.random.default_rng(16)
+    tree = random_tree(rng, max_periods=3)
+    ext = random_extension(rng, tree)
+    w = ext.prob * rng.uniform(0.2, 5.0, ext.n_atoms)
+    tilted = projections(ext, w / w.sum())
+    x = AdaptedProcess(tree, rng.uniform(0, 2, tree.n_nodes))
+    out = key_lemma(tilted, x, 0, "optional")
+    assert out[0] == pytest.approx(float(np.dot(tilted.weights, x.values[ext.default_node])),
+                                   abs=1e-12)
+    assert abs(out[0] - key_lemma(projections(ext), x, 0, "optional")[0]) > 1e-6
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -177,10 +193,11 @@ def test_key_lemma_nan_input_raises():
     ext = random_extension(rng, tree)
     vals = rng.uniform(0, 1, tree.n_nodes)
     vals[tree.leaves[0]] = np.nan
+    b = projections(ext)
     with pytest.raises(IdentityError):
-        key_lemma(ext, AdaptedProcess(tree, vals), 0, "optional")
+        key_lemma(b, AdaptedProcess(tree, vals), 0, "optional")
     with pytest.raises(ValueError, match="predictable"):
-        key_lemma(ext, AdaptedProcess(tree, vals), 0, "predictable")
+        key_lemma(b, AdaptedProcess(tree, vals), 0, "predictable")
 
 # -- martingale transforms -------------------------------------------------------
 

@@ -9,7 +9,7 @@ import pytest
 import vopt
 from vopt import suites
 from vopt.filtration import AdaptedProcess
-from vopt.scenario import parse_scenario
+from vopt.scenario import parse_scenario, scenario_from_dict
 
 PACKAGED = Path(vopt.__file__).parent / "scenarios" / "paper_regression.json"
 
@@ -62,3 +62,20 @@ def test_nan_in_ladder_breaks_monotonicity(monkeypatch, suite, solver):
     res = getattr(suites, suite)(sc)
     assert res.details["monotone"] is False
     assert not res.passed
+
+
+@pytest.mark.parametrize("suite", ["suite_european_duality", "suite_american_upper"])
+def test_capped_enumeration_is_reported(suite):
+    # binary N=6 tree with delta = 1 everywhere: every node may stop, so the
+    # stopping times outnumber the enumeration cap and the oracle is skipped;
+    # the details must say so instead of showing only a zero gap
+    sc = scenario_from_dict({
+        "tree": {"times": [0, 1, 2, 3, 4, 5, 6], "branching": 2, "p": "uniform"},
+        "hazard": {"delta": 1.0},
+        "payoff": {"P": 0.5, "R": 1.0},
+        "suites": ["european-duality", "american-upper"],
+    })
+    res = getattr(suites, suite)(sc)
+    assert res.details["enumeration_gap"] == 0.0
+    assert res.details["enumeration"].startswith("skipped: ")
+    assert "cap" in res.details["enumeration"]
