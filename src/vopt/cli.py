@@ -21,7 +21,6 @@ from . import reports
 from .american import american_upper_price, constrained_dynkin_game
 from .errors import ScenarioError, TreeError
 from .european import constrained_snell, penalized_european
-from .random_time import cox_extend, projections
 from .scenario import Scenario, parse_scenario
 from .suites import RunReport, run_suites
 
@@ -29,8 +28,7 @@ from .suites import RunReport, run_suites
 def _emit_run_artifacts(sc: Scenario, report: RunReport, out_dir: str) -> None:
     reports.write_text(os.path.join(out_dir, "report.json"),
                        reports.to_json(report.to_dict()) + "\n")
-    bundle = projections(cox_extend(sc.tree, sc.hazard_h))
-    reports.write_text(os.path.join(out_dir, "bundle.csv"), reports.bundle_csv(bundle))
+    reports.write_text(os.path.join(out_dir, "bundle.csv"), reports.bundle_csv(sc.bundle))
 
     snell = constrained_snell(sc.payoff, sc.hazard_delta, sc.tree)
     reports.write_text(os.path.join(out_dir, "values_constrained_snell.csv"),
@@ -110,19 +108,14 @@ def cmd_sweep(args) -> int:
 def _scaled_scenario(sc: Scenario, param: str, value: float) -> Scenario:
     import copy
     from .european import ReducedHazard
-    from .random_time import HazardSpec
     mod = copy.copy(sc)
     if param == "delta_scale":
         mod.hazard_delta = ReducedHazard(sc.tree, sc.hazard_delta.delta * value)
-    elif param == "h_scale":
-        mod.hazard_h = HazardSpec(np.clip(sc.hazard_h.h * value, 0.0, 0.999),
-                                  timing=sc.hazard_h.timing,
-                                  terminal_absorption=sc.hazard_h.terminal_absorption)
     elif param == "penalty_top":
         mod.penalty_ladder = [n for n in sc.penalty_ladder if n <= value] or [int(value)]
     else:
         raise ScenarioError(f"unknown sweep parameter {param!r} "
-                            "(use delta_scale, h_scale or penalty_top)")
+                            "(use delta_scale or penalty_top)")
     return mod
 
 

@@ -311,10 +311,10 @@ def dirac_convergence_check(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteT
     """Scaled-hazard limit: the discounted payoff started at nu collapses to
     the reward at nu as the hazard is inflated.
 
-    For each penalty level n the value P_T E_{nu,T}(-n Gamma~) + recovery leg
-    is evaluated exactly (closed-form route with lambda = n, horizon from nu)
-    and compared with P_nu 1{nu = T} + R_nu 1{nu < T}; the sup-norm gap over
-    the stop nodes of nu must shrink monotonically.
+    For each penalty level n the reduced price with lambda = n is evaluated
+    exactly by the linear recursion (``reduced_price_linear``) and compared
+    at the stop nodes of nu with P_nu 1{nu = T} + R_nu 1{nu < T}; the
+    sup-norm gap over those nodes must shrink monotonically.
     """
     mask = hz.support_mask()
     stop_nodes = np.unique(nu.stop_nodes_per_path())

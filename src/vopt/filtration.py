@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCapError, TreeError
+from .errors import EnumerationCapError, IdentityError, TreeError
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -173,11 +173,6 @@ class AdaptedProcess:
         return cls(tree, np.full(tree.n_nodes, float(c)))
 
     @classmethod
-    def from_levels(cls, tree: FiniteTree, levels) -> "AdaptedProcess":
-        vals = np.concatenate([np.asarray(lv, dtype=float).ravel() for lv in levels])
-        return cls(tree, vals)
-
-    @classmethod
     def from_terminal(cls, tree: FiniteTree, terminal, measure: str = "Q") -> "AdaptedProcess":
         """Martingale closure E[X_T | F_k] of terminal values."""
         return cls(tree, backward(tree, terminal, measure=measure))
@@ -274,11 +269,9 @@ def build_tree(spec: dict) -> FiniteTree:
         cnt = np.asarray(counts[k], dtype=np.int64)
         if np.any(cnt < 1):
             raise TreeError(f"dangling node at level {k} (zero branching)")
-        starts = level_start[k + 1] + np.concatenate([[0], np.cumsum(cnt)[:-1]])
-        first_child[nodes] = starts
+        first_child[nodes] = level_start[k + 1] + np.concatenate([[0], np.cumsum(cnt)[:-1]])
         n_children[nodes] = cnt
-        for v, s, c in zip(nodes, starts, cnt):
-            parent[s:s + c] = v
+        parent[level_start[k + 1]:level_start[k + 2]] = np.repeat(nodes, cnt)
 
     p_edge = _edge_probs_from_spec(spec.get("p", "uniform"), counts, level_start, "p")
     if "q" in spec and spec["q"] is not None:
@@ -336,12 +329,13 @@ def _normalize_branching(branching, n_levels: int):
 def _edge_probs_from_spec(p, counts, level_start, label: str) -> np.ndarray:
     n_nodes = int(level_start[-1])
     edge = np.ones(n_nodes)
+    uniform = isinstance(p, str) and p == "uniform"
     for k, cnt in enumerate(counts):
         pos = int(level_start[k + 1])
-        if isinstance(p, str) and p == "uniform":
-            rows = [[1.0 / c] * c for c in cnt]
-        else:
-            rows = p[k]
+        if uniform:
+            edge[pos:int(level_start[k + 2])] = _uniform_edges(cnt, k, label)
+            continue
+        rows = p[k]
         if len(rows) != len(cnt):
             raise TreeError(f"{label}[level {k}] has {len(rows)} rows, expected {len(cnt)}")
         for i, (row, c) in enumerate(zip(rows, cnt)):
@@ -359,6 +353,20 @@ def _edge_probs_from_spec(p, counts, level_start, label: str) -> np.ndarray:
             edge[pos:pos + c] = row / s
             pos += c
     return edge
+
+
+def _uniform_edges(cnt, k: int, label: str) -> np.ndarray:
+    """Edge probabilities of one level under ``"uniform"``: each row is
+    ``row / row.sum()`` with ``row = [1/c] * c``, formed once per distinct
+    branching value c."""
+    cnt = np.asarray(cnt, dtype=np.int64)
+    values, which = np.unique(cnt, return_inverse=True)
+    sums = np.array([np.full(c, 1.0 / c).sum() for c in values.tolist()])
+    bad = np.flatnonzero(np.abs(sums[which] - 1.0) > 1e-9)
+    if bad.size:
+        raise TreeError(f"{label}[level {k}][node {int(bad[0])}]: probabilities do not "
+                        f"sum to 1 (got {sums[which[bad[0]]]:.12g})")
+    return np.repeat((1.0 / values / sums)[which], cnt)
 
 
 # --------------------------------------------------------------------------
@@ -489,27 +497,38 @@ def snell_envelope(reward, measure: str = "Q", allowed: np.ndarray | None = None
 
 def count_stopping_times(tree: FiniteTree, allowed: np.ndarray | None = None,
                          cap: int = DEFAULT_ENUM_CAP) -> int:
-    """c(v) = [v allowed] + prod over children c(w); exact count, cap-checked."""
+    """c(v) = [v allowed] + prod over children c(w); exact count, cap-checked.
+
+    One level at a time from the leaves up, in float64.  Every count kept is
+    at most ``cap`` < 2**53, so it is an exact integer; a product past the
+    cap rounds to a float past the cap too, so the check stays exact.  Raises
+    at the first node over the cap, levels from N-1 down and nodes ascending.
+    """
+    if cap >= 2 ** 53:
+        raise ValueError(f"cap {cap} is not below 2**53; counts past it are not "
+                         "exact in float64")
     if allowed is None:
         allowed = np.ones(tree.n_nodes, dtype=bool)
-    counts = np.zeros(tree.n_nodes, dtype=object)
-    term = tree.level_slice(tree.n_periods)
-    counts[term] = 1
+    allowed = np.asarray(allowed, dtype=bool)
+    counts = np.ones(tree.leaves.size)
     for k in range(tree.n_periods - 1, -1, -1):
-        for v in tree.level_nodes(k):
-            prod = 1
-            for w in tree.children(v):
-                prod *= counts[w]
-            counts[v] = prod + (1 if allowed[v] else 0)
-            if counts[v] > cap:
-                raise EnumerationCapError(
-                    f"stopping-time count exceeds cap {cap} at node {int(v)}")
+        sl = tree.level_slice(k)
+        offsets = tree.first_child[sl] - tree.level_start[k + 1]
+        counts = np.multiply.reduceat(counts, offsets) + allowed[sl]
+        over = np.flatnonzero(counts > cap)
+        if over.size:
+            raise EnumerationCapError(
+                f"stopping-time count exceeds cap {cap} at node {sl.start + int(over[0])}")
     return int(counts[0])
 
 
 def _enumerate_stop_nodes(tree: FiniteTree, allowed: np.ndarray, cap: int) -> np.ndarray:
-    """(count, n_leaves) matrix: stop node per leaf path for every stopping time."""
-    count_stopping_times(tree, allowed, cap)  # raises if too many
+    """(count, n_leaves) matrix: stop node per leaf path for every stopping time.
+
+    The row count is checked against the counting formula, which also guards
+    the cap before anything is built.
+    """
+    n = count_stopping_times(tree, allowed, cap)  # raises if too many
 
     def rec(v: int) -> list[np.ndarray]:
         if tree.n_children[v] == 0:
@@ -523,7 +542,11 @@ def _enumerate_stop_nodes(tree: FiniteTree, allowed: np.ndarray, cap: int) -> np
             out.append(np.concatenate(combo))
         return out
 
-    return np.vstack(rec(0))
+    mat = np.vstack(rec(0))
+    if mat.shape[0] != n:
+        raise IdentityError(f"enumerated {mat.shape[0]} stopping times, the counting "
+                            f"formula gives {n}")
+    return mat
 
 
 def enumerate_stopping_times(tree: FiniteTree, allowed: np.ndarray | None = None,

@@ -54,23 +54,24 @@ def write_text(path: str, text: str) -> None:
 
 def process_csv(proc: AdaptedProcess, name: str = "value") -> str:
     """node,time_index,time,<name> rows for one adapted process."""
-    tree = proc.tree
-    lines = [f"node,time_index,time,{name}"]
-    for v in range(tree.n_nodes):
-        k = int(tree.level_of[v])
-        lines.append(f"{v},{k},{fmt(tree.grid.times[k])},{fmt(proc.values[v])}")
-    return "\n".join(lines) + "\n"
+    return table_csv(proc.tree, {name: proc.values})
 
 
 def table_csv(tree, columns: dict[str, np.ndarray]) -> str:
-    """Wide node table: node,time_index,time plus one column per named process."""
-    names = list(columns)
-    lines = ["node,time_index,time," + ",".join(names)]
-    for v in range(tree.n_nodes):
-        k = int(tree.level_of[v])
-        row = [str(v), str(k), fmt(tree.grid.times[k])]
-        row += [fmt(columns[c][v]) for c in names]
-        lines.append(",".join(row))
+    """Wide node table: node,time_index,time plus one real column per named
+    process.
+
+    Rows are formed one level at a time, reading each value from the level's
+    slice rather than from a list of the whole column, which would raise the
+    peak memory.  ``'%.17g' % x`` prints what ``fmt`` prints for a float, nan,
+    infinities and -0.0 included.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns.values()]
+    lines = ["node,time_index,time," + ",".join(columns)]
+    for k in range(tree.n_periods + 1):
+        row = ",".join(["%d", str(k), fmt(tree.grid.times[k])] + ["%.17g"] * len(cols))
+        lo, hi = int(tree.level_start[k]), int(tree.level_start[k + 1])
+        lines += [row % cells for cells in zip(range(lo, hi), *[c[lo:hi] for c in cols])]
     return "\n".join(lines) + "\n"
 
 
@@ -84,12 +85,15 @@ def bundle_csv(bundle) -> str:
 
 
 def strategy_csv(tree, stops: dict[str, np.ndarray]) -> str:
-    names = list(stops)
-    lines = ["node,time_index," + ",".join(names)]
-    for v in range(tree.n_nodes):
-        row = [str(v), str(int(tree.level_of[v]))]
-        row += ["stop" if stops[c][v] else "continue" for c in names]
-        lines.append(",".join(row))
+    """node,time_index plus one stop/continue column per named stopping rule."""
+    masks = [np.asarray(m, dtype=bool) for m in stops.values()]
+    words = ("continue", "stop")
+    lines = ["node,time_index," + ",".join(stops)]
+    for k in range(tree.n_periods + 1):
+        row = ",".join(["%d", str(k)] + ["%s"] * len(masks))
+        lo, hi = int(tree.level_start[k]), int(tree.level_start[k + 1])
+        lines += [row % cells for cells in zip(
+            range(lo, hi), *[[words[b] for b in m[lo:hi].tolist()] for m in masks])]
     return "\n".join(lines) + "\n"
 
 

@@ -14,13 +14,14 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ScenarioError
 from .european import PayoffSpec, ReducedHazard
 from .filtration import AdaptedProcess, FiniteTree, build_tree
-from .random_time import HazardSpec
+from .random_time import HazardSpec, ProjectionBundle, cox_extend, projections
 
 DEFAULT_TOLERANCES = {
     "identity": 1e-12,
@@ -58,6 +59,13 @@ class Scenario:
     family: dict | None
     output_dir: str
     raw: dict = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def bundle(self) -> ProjectionBundle:
+        """Projections of the scenario's Cox extension (``bundle.ext``), built
+        on first use.  The suites and the CLI artifacts share it, so nothing
+        may write into its arrays."""
+        return projections(cox_extend(self.tree, self.hazard_h))
 
 
 def _node_table(tree: FiniteTree, spec, where: str) -> np.ndarray:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import vopt
+from vopt import suites
 from vopt.cli import main
 
 PACKAGED = Path(vopt.__file__).parent / "scenarios" / "paper_regression.json"
@@ -83,3 +84,68 @@ def test_threads_option_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(PACKAGED), "--threads", "2"])
     assert exc.value.code == 2
+
+
+# -- vopt sweep and vopt oracle --------------------------------------------------
+
+def test_sweep_writes_json_and_csv(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(PACKAGED), "--param", "delta_scale", "--values", "1", "2",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep.json"]
+    rows = json.loads((out / "sweep.json").read_text())["sweep"]
+    assert [(r["param"], r["value"]) for r in rows] == [("delta_scale", 1.0),
+                                                         ("delta_scale", 2.0)]
+    assert rows[0]["root_value"] == pytest.approx(0.9, abs=1e-12)
+    assert all(0.0 <= r["duality_gap_at_top"] <= 1e-5 for r in rows)
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "param,value,root_value,duality_gap_at_top"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["delta_scale", "1"],
+                                                           ["delta_scale", "2"]]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["delta_scale=1", "delta_scale=2"]
+
+
+def test_sweep_penalty_top(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(PACKAGED), "--param", "penalty_top", "--values", "4", "1024",
+                 "--out", str(out)]) == 0
+    gaps = [r["duality_gap_at_top"] for r in
+            json.loads((out / "sweep.json").read_text())["sweep"]]
+    assert gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize("param", ["h_scale", "nonsense"])
+def test_sweep_unknown_parameter_exits_2(param, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(PACKAGED), "--param", param, "--values", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"scenario error: unknown sweep parameter "
+                                       f"'{param}' (use delta_scale or penalty_top)\n")
+    assert not out.exists()
+
+
+def test_oracle_writes_one_suite_report(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    assert main(["oracle", str(PACKAGED), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["oracle.json"]
+    report = json.loads((out / "oracle.json").read_text())
+    assert report["passed"] is True
+    assert [s["suite"] for s in report["suites"]] == ["oracle-equivalence"]
+    assert report["suites"][0]["details"]["instances"] == 9
+    assert capsys.readouterr().out.splitlines()[-1] == "all suites passed"
+
+
+def test_oracle_exits_1_on_a_failing_suite(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(suites, "evaluate_stopping", lambda *a, **k: float("nan"))
+    assert main(["oracle", str(PACKAGED), "--out", str(tmp_path)]) == 1
+    assert '"passed": false' in (tmp_path / "oracle.json").read_text()
+    assert capsys.readouterr().out.splitlines()[-1] == "SUITE FAILURES PRESENT"
+
+
+def test_oracle_malformed_scenario_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{")
+    assert main(["oracle", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("scenario error: ")
+    assert not (tmp_path / "out").exists()

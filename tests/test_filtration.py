@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from vopt.errors import EnumerationCapError, TreeError
+import vopt.filtration as filtration
+from vopt.errors import EnumerationCapError, IdentityError, TreeError
 from vopt.filtration import (AdaptedProcess, StoppingTime, TimeGrid, backward,
                              brute_force_snell_root, build_tree, condexp,
                              count_stopping_times, doob_decomposition,
@@ -250,3 +251,206 @@ def test_stopping_time_requires_terminal_stop():
     tree = one_period()
     with pytest.raises(TreeError, match="terminal"):
         StoppingTime(tree, np.array([True, False, False]))
+
+
+# -- build_tree against a per-row build -----------------------------------------
+
+def ref_build(spec):
+    """(parent, first_child, p_edge, q_edge) filled node by node and row by row."""
+    n = len(spec["times"]) - 1
+    b = spec.get("branching", 2)
+    counts, size = [], 1
+    for k in range(n):
+        lv = b if isinstance(b, int) else b[k]
+        row = [lv] * size if isinstance(lv, int) else list(lv)
+        counts.append(row)
+        size = sum(row)
+    level_start = np.cumsum([0, 1] + [sum(c) for c in counts])
+    parent = np.full(level_start[-1], -1, dtype=np.int64)
+    first_child = np.full(level_start[-1], -1, dtype=np.int64)
+    for k, cnt in enumerate(counts):
+        s = level_start[k + 1]
+        for i, c in enumerate(cnt):
+            v = level_start[k] + i
+            first_child[v] = s
+            parent[s:s + c] = v
+            s += c
+
+    def edges(p):
+        edge = np.ones(level_start[-1])
+        for k, cnt in enumerate(counts):
+            rows = [[1.0 / c] * c for c in cnt] if p == "uniform" else p[k]
+            pos = level_start[k + 1]
+            for row in rows:
+                row = np.asarray(row, dtype=float)
+                edge[pos:pos + row.size] = row / row.sum()
+                pos += row.size
+        return edge
+
+    p_edge = edges(spec.get("p", "uniform"))
+    q_edge = edges(spec["q"]) if "q" in spec else p_edge
+    return parent, first_child, p_edge, q_edge
+
+
+def random_rows(rng, counts):
+    out = []
+    for cnt in counts:
+        lvl = []
+        for c in cnt:
+            raw = rng.uniform(0.05, 1.0, c)
+            lvl.append((raw / raw.sum()).tolist())
+        out.append(lvl)
+    return out
+
+
+def random_specs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    times = np.linspace(0.0, 1.0, n + 1).tolist()
+    ragged, size = [], 1
+    for _ in range(n):
+        row = rng.integers(1, 4, size).tolist()
+        ragged.append(row)
+        size = sum(row)
+    per_level = rng.integers(1, 4, n).tolist()
+    return [
+        {"times": times, "branching": int(rng.integers(1, 4)), "p": "uniform"},
+        {"times": times, "branching": per_level, "p": "uniform"},
+        {"times": times, "branching": ragged},
+        {"times": times, "branching": ragged, "p": random_rows(rng, ragged),
+         "q": random_rows(rng, ragged)},
+        {"times": times, "branching": ragged, "p": "uniform", "q": random_rows(rng, ragged)},
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_build_tree_equals_per_row_build(seed):
+    for spec in random_specs(seed):
+        tree = build_tree(spec)
+        for got, want in zip((tree.parent, tree.first_child, tree.p_edge, tree.q_edge),
+                             ref_build(spec)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def test_uniform_edges_per_branching_value():
+    tree = build_tree({"times": [0, 1, 2], "branching": [[7], [1, 2, 3, 5, 6, 7, 3]]})
+    for v in range(1, tree.n_nodes):
+        c = int(tree.n_children[tree.parent[v]])
+        row = np.array([1.0 / c] * c)
+        assert tree.p_edge[v] == (row / row.sum())[0]
+
+
+TREE_ERRORS = {
+    "grid start": ({"times": [0.5, 1.0]}, "time grid must start at t_0 = 0"),
+    "levels described": ({"times": [0, 1, 2], "branching": [2]},
+                         "branching must describe 2 levels"),
+    "branching entries": ({"times": [0, 1, 2], "branching": [[2], [1]]},
+                          "branching list at level 1 has 1 entries, level has 2 nodes"),
+    "zero branching": ({"times": [0, 1, 2], "branching": [[2], [1, 0]]},
+                       "dangling node at level 1 (zero branching)"),
+    "p rows": ({"times": [0, 1], "p": [[[0.5, 0.5], [0.5, 0.5]]]},
+               "p[level 0] has 2 rows, expected 1"),
+    "p entries": ({"times": [0, 1], "p": [[[1.0]]]},
+                  "p[level 0][node 0] has 1 entries, branching is 2"),
+    "p sum": ({"times": [0, 1, 2], "branching": [[1], [2]], "p": [[[1.0]], [[0.5, 0.6]]]},
+              "p[level 1][node 0]: probabilities do not sum to 1 (got 1.1)"),
+    "p zero": ({"times": [0, 1], "p": [[[1.0, 0.0]]]},
+               "p[level 0][node 0]: zero/negative probability (breaks measure equivalence)"),
+    "q sum": ({"times": [0, 1], "p": "uniform", "q": [[[0.3, 0.6]]]},
+              "q[level 0][node 0]: probabilities do not sum to 1 (got 0.9)"),
+    "q and zf": ({"times": [0, 1], "q": [[[0.3, 0.7]]], "zf_leaves": [1.0, 1.0]},
+                 "give either q or zf_leaves, not both"),
+    "zf length": ({"times": [0, 1], "zf_leaves": [1.0]},
+                  "zf_leaves must have one value per terminal node"),
+    "zf sign": ({"times": [0, 1], "zf_leaves": [1.0, 0.0]},
+                "density Z^F must be strictly positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(TREE_ERRORS))
+def test_build_tree_error_messages(case):
+    spec, message = TREE_ERRORS[case]
+    with pytest.raises(TreeError) as exc:
+        build_tree(spec)
+    assert str(exc.value) == message
+
+
+# -- count_stopping_times against a recursive count -------------------------------
+
+def ref_count(tree, allowed):
+    """c(v) = [v allowed] + prod over children c(w), in Python ints."""
+    def c(v):
+        if tree.n_children[v] == 0:
+            return 1
+        prod = 1
+        for w in tree.children(v):
+            prod *= c(int(w))
+        return prod + int(bool(allowed[v]))
+    return c(0)
+
+
+def ref_first_over_cap(tree, allowed, cap):
+    """The node the count must name: levels from N-1 down, nodes ascending."""
+    counts = {int(v): 1 for v in tree.leaves}
+    for k in range(tree.n_periods - 1, -1, -1):
+        for v in tree.level_nodes(k):
+            prod = 1
+            for w in tree.children(v):
+                prod *= counts[int(w)]
+            counts[int(v)] = prod + int(bool(allowed[v]))
+            if counts[int(v)] > cap:
+                return int(v)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_count_equals_recursive_count(seed):
+    rng = np.random.default_rng(seed)
+    for spec in random_specs(seed)[:3]:
+        tree = build_tree(spec)
+        allowed = rng.random(tree.n_nodes) < rng.uniform(0.0, 1.0)
+        for cap in (2 ** 53 - 1, 1000, 50):
+            exact = ref_count(tree, allowed)
+            node = ref_first_over_cap(tree, allowed, cap)
+            if node is None:
+                assert count_stopping_times(tree, allowed, cap) == exact
+            else:
+                with pytest.raises(EnumerationCapError) as exc:
+                    count_stopping_times(tree, allowed, cap)
+                assert str(exc.value) == (f"stopping-time count exceeds cap {cap} "
+                                          f"at node {node}")
+
+
+def test_count_is_exact_at_the_cap():
+    tree = build_tree({"times": [0, 1, 2, 3, 4], "branching": 3, "p": "uniform"})
+    exact = ref_count(tree, np.ones(tree.n_nodes, dtype=bool))   # 730 ** 3 + 1
+    assert exact == 389017001
+    assert count_stopping_times(tree, cap=exact) == exact
+    with pytest.raises(EnumerationCapError, match="at node 0$"):
+        count_stopping_times(tree, cap=exact - 1)
+
+
+def test_count_past_exact_floats_is_capped_at_the_same_node():
+    # counts by level from the leaves: 1, 2, 9, 730, 730**3 + 1, then about
+    # 6e25 at node 1, past what float64 holds exactly
+    tree = build_tree({"times": list(range(7)), "branching": 3, "p": "uniform"})
+    assert ref_first_over_cap(tree, np.ones(tree.n_nodes, dtype=bool), 2 ** 53 - 1) == 1
+    with pytest.raises(EnumerationCapError, match="at node 1$"):
+        count_stopping_times(tree, cap=2 ** 53 - 1)
+
+
+def test_count_rejects_a_cap_past_exact_floats():
+    tree = one_period()
+    assert count_stopping_times(tree, cap=2 ** 53 - 1) == 2
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        count_stopping_times(tree, cap=2 ** 53)
+
+
+def test_enumeration_rows_are_checked_against_the_count(monkeypatch):
+    tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
+    real = filtration.count_stopping_times
+    monkeypatch.setattr(filtration, "count_stopping_times",
+                        lambda *a, **k: real(*a, **k) + 1)
+    with pytest.raises(IdentityError, match="enumerated 5 stopping times"):
+        enumerate_stopping_times(tree)

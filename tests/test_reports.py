@@ -99,3 +99,71 @@ def test_strategy_csv_header_and_rows():
     assert len(lines) == 1 + tree.n_nodes
     assert lines[1] == "0,0,continue,stop"
     assert lines[-1] == f"{tree.n_nodes - 1},2,stop,continue"
+
+
+# -- writers against a per-node reference ---------------------------------------
+
+def ref_table_csv(tree, columns):
+    """The node-by-node table the writers must reproduce byte for byte."""
+    lines = ["node,time_index,time," + ",".join(columns)]
+    for v in range(tree.n_nodes):
+        k = int(tree.level_of[v])
+        row = [str(v), str(k), fmt(tree.grid.times[k])]
+        row += [fmt(columns[c][v]) for c in columns]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def ref_strategy_csv(tree, stops):
+    lines = ["node,time_index," + ",".join(stops)]
+    for v in range(tree.n_nodes):
+        row = [str(v), str(int(tree.level_of[v]))]
+        row += ["stop" if stops[c][v] else "continue" for c in stops]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+            2.2250738585072014e-308, 0.1, 1.0 / 3.0]
+
+
+def ragged_tree(rng):
+    """Random tree with 1 to 4 periods and 1 to 3 children per node."""
+    n = int(rng.integers(1, 5))
+    branching, size = [], 1
+    for _ in range(n):
+        row = rng.integers(1, 4, size).tolist()
+        branching.append(row)
+        size = sum(row)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 3.0, n))])
+    return build_tree({"times": times, "branching": branching, "p": "uniform"})
+
+
+def awkward_values(rng, n):
+    """Reals of every magnitude, random bit patterns and the special values."""
+    out = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
+    bits = rng.integers(0, 2 ** 63, n, dtype=np.int64).view(np.float64)
+    out = np.where(rng.random(n) < 0.3, bits, out)
+    pick = rng.random(n) < 0.3
+    out[pick] = rng.choice(SPECIALS, int(pick.sum()))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_writers_equal_per_node_reference(seed):
+    rng = np.random.default_rng(seed)
+    tree = ragged_tree(rng)
+    cols = {f"c{j}": awkward_values(rng, tree.n_nodes) for j in range(int(rng.integers(0, 4)))}
+    assert table_csv(tree, cols) == ref_table_csv(tree, cols)
+    proc = AdaptedProcess(tree, awkward_values(rng, tree.n_nodes))
+    assert process_csv(proc, "V") == ref_table_csv(tree, {"V": proc.values})
+    stops = {f"s{j}": rng.random(tree.n_nodes) < 0.5 for j in range(int(rng.integers(0, 3)))}
+    assert strategy_csv(tree, stops) == ref_strategy_csv(tree, stops)
+
+
+def test_writers_print_special_values_as_fmt_does():
+    tree = build_tree({"times": [0.0, 1e-300, 7.5], "branching": [[3], [1, 2, 3]]})
+    vals = np.resize(np.array(SPECIALS), tree.n_nodes)
+    text = table_csv(tree, {"x": vals})
+    assert text == ref_table_csv(tree, {"x": vals})
+    assert [line.split(",")[3] for line in text.splitlines()[1:4]] == ["nan", "inf", "-inf"]

@@ -4,11 +4,13 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vopt
-from vopt import suites
+from vopt import cli, filtration, scenario, suites
 from vopt.filtration import AdaptedProcess
+from vopt.random_time import projections
 from vopt.scenario import parse_scenario, scenario_from_dict
 
 PACKAGED = Path(vopt.__file__).parent / "scenarios" / "paper_regression.json"
@@ -79,3 +81,42 @@ def test_capped_enumeration_is_reported(suite):
     assert res.details["enumeration_gap"] == 0.0
     assert res.details["enumeration"].startswith("skipped: ")
     assert "cap" in res.details["enumeration"]
+
+
+def test_scenario_extension_is_built_once_and_never_written(monkeypatch, tmp_path):
+    real = scenario.cox_extend
+    built = []
+    monkeypatch.setattr(scenario, "cox_extend",
+                        lambda *a, **k: built.append(1) or real(*a, **k))
+    sc = parse_scenario(str(PACKAGED))
+    sc.suites = ["projections-identities", "martingale-transforms", "measure-change"]
+    report = suites.run_suites(sc)
+    cli._emit_run_artifacts(sc, report, str(tmp_path))
+    assert report.passed
+    assert len(built) == 1
+    fresh = projections(real(sc.tree, sc.hazard_h))
+    for key, value in vars(fresh).items():
+        shared = getattr(sc.bundle, key)
+        if key != "ext":
+            a, b = getattr(value, "values", value), getattr(shared, "values", shared)
+            assert a.tobytes() == b.tobytes(), key
+    for key in ("leaf_row", "theta", "prob", "node_at", "stopped_node"):
+        assert getattr(fresh.ext, key).tobytes() == getattr(sc.bundle.ext, key).tobytes()
+
+
+def test_oracle_suite_counts_each_tree_and_mask_once(monkeypatch):
+    real = filtration.count_stopping_times
+    seen = []
+
+    def counting(tree, allowed=None, cap=filtration.DEFAULT_ENUM_CAP):
+        seen.append((id(tree), None if allowed is None else bytes(np.asarray(allowed))))
+        return real(tree, allowed, cap)
+
+    monkeypatch.setattr(filtration, "count_stopping_times", counting)
+    sc = parse_scenario(str(PACKAGED))
+    res = suites.suite_oracle_equivalence(sc)
+    assert res.passed and res.details["instances"] == 9
+    # per instance: all nodes allowed, then the support; nothing counted twice
+    assert len(seen) == 2 * 9
+    assert [allowed == b"\x01" * len(allowed) for _, allowed in seen[::2]] == [True] * 9
+    assert len({tree for tree, _ in seen}) == 9
