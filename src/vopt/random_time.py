@@ -23,11 +23,23 @@ distinct across levels, which gives the two projection primitives:
 
 Both add each node's or cell's atoms in atom order, and ``g_condexp`` is a
 direct per-cell Bayes sum that never reads the projections it checks.
+
+Each space builds, on first use, the G_k cell ids of every atom at every
+time, and the F- and G-cell masses of its own measure.  ``leaf_row``,
+``theta`` and ``prob`` are the space's own read-only copies, so these cannot
+go stale.  A call whose ``weights`` are not the array ``prob`` (a Q^phi
+measure) sums its masses afresh.  The cached sums are the same ``bincount``
+over the same ids, so every result is bitwise what an uncached call gives.
+
+``key_lemma`` answers E[X_theta | G_t] for every t at once: one F-projection
+of the tail sums of all times and one G-projection of X_theta make the whole
+(atom, time) table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,11 +92,18 @@ class ExtendedSpace:
     def __init__(self, base: FiniteTree, leaf_row: np.ndarray, theta: np.ndarray,
                  prob: np.ndarray):
         self.base = base
-        self.leaf_row = np.asarray(leaf_row, dtype=np.int64)
-        self.theta = np.asarray(theta, dtype=np.int64)
-        self.prob = np.asarray(prob, dtype=float)
+        # the space's own read-only copies: the layout and the cached cells
+        # and masses below are computed from them
+        self.leaf_row = np.array(leaf_row, dtype=np.int64)
+        self.theta = np.array(theta, dtype=np.int64)
+        self.prob = np.array(prob, dtype=float)
+        for a in (self.leaf_row, self.theta, self.prob):
+            a.flags.writeable = False
         if not (self.leaf_row.shape == self.theta.shape == self.prob.shape):
             raise TreeError("atom arrays must have identical shape")
+        if not np.all(np.isfinite(self.prob)):
+            raise TreeError(f"atom {int(np.flatnonzero(~np.isfinite(self.prob))[0])} "
+                            "probability is not finite")
         if np.any(self.prob < 0.0):
             raise TreeError("negative atom probability")
         if abs(self.prob.sum() - 1.0) > 1e-9:
@@ -106,6 +125,29 @@ class ExtendedSpace:
         flat = np.broadcast_to(v.reshape(self.n_atoms, -1), ids.shape).ravel()
         return np.bincount(ids.ravel(), weights=flat, minlength=size)
 
+    @cached_property
+    def _g_cells(self) -> np.ndarray:
+        """G_k cell id of every atom at every time k = 0..N."""
+        n = self.base.n_periods
+        theta = self.theta[:, None]
+        cells = self.node_at * np.int64(n + 1)
+        np.add(cells, theta, out=cells, where=theta <= np.arange(n + 1))
+        return cells
+
+    @cached_property
+    def _f_mass(self) -> np.ndarray:
+        """Mass of every F_k cell (tree node) under the space's own measure."""
+        return self._sums(self.node_at, self.prob, self.base.n_nodes)
+
+    @cached_property
+    def _g_mass(self) -> np.ndarray:
+        """Mass of every G_k cell under the space's own measure."""
+        size = self.base.n_nodes * (self.base.n_periods + 1)
+        return self._sums(self._g_cells, self.prob, size)
+
+    def _own(self, weights) -> bool:
+        return weights is None or weights is self.prob
+
     def f_condexp(self, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """E[x_k | F_k] at every tree node (exact Bayes sums).
 
@@ -116,7 +158,7 @@ class ExtendedSpace:
         x = np.asarray(x)
         size = self.base.n_nodes
         num = self._sums(self.node_at, w[:, None] * x if x.ndim == 2 else w * x, size)
-        den = self._sums(self.node_at, w, size)
+        den = self._f_mass if self._own(weights) else self._sums(self.node_at, w, size)
         if np.any(den <= 0.0):
             k = int(self.base.level_of[np.argmax(den <= 0.0)])
             raise HazardError(f"F_{k} cell with zero mass (measure not equivalent)")
@@ -133,13 +175,10 @@ class ExtendedSpace:
         w = self.prob if weights is None else weights
         x = np.asarray(x)
         n = self.base.n_periods
-        cols = n + 1 if x.ndim == 1 else x.shape[1]
-        theta = self.theta[:, None]
-        cells = self.node_at[:, :cols] * np.int64(n + 1)
-        np.add(cells, theta, out=cells, where=theta <= np.arange(cols))
+        cells = self._g_cells if x.ndim == 1 else self._g_cells[:, :x.shape[1]]
         size = self.base.n_nodes * (n + 1)
         num = self._sums(cells, w[:, None] * x if x.ndim == 2 else w * x, size)
-        den = self._sums(cells, w, size)
+        den = self._g_mass if self._own(weights) else self._sums(cells, w, size)
         return np.divide(num, den, out=np.zeros(size), where=den > 0.0)[cells]
 
     def g_martingale_residual(self, x: np.ndarray, weights: np.ndarray | None = None
@@ -411,16 +450,19 @@ def _sibling_spread(tree: FiniteTree, x: np.ndarray) -> float:
     return float(np.max(_group_spread(tree.parent[1:], x[1:], tree.n_nodes), initial=0.0))
 
 
-def key_lemma(bundle: ProjectionBundle, x: AdaptedProcess, t: int,
-              variant: str = "optional", tol: float = IDENTITY_TOL) -> np.ndarray:
-    """E[X_theta | G_t] assembled from the dual-projection formula, per atom.
+def key_lemma(bundle: ProjectionBundle, x: AdaptedProcess, variant: str = "optional",
+              tol: float = IDENTITY_TOL) -> np.ndarray:
+    """E[X_theta | G_t] assembled from the dual-projection formula, per atom and
+    time: column t of the (n_atoms, N+1) result is the expectation given G_t.
 
     Pre-default cells use G_t^{-1} E[sum_{j>t} X_j dA_j + X_T G_T | F_t] with
     the optional (dA^o) or predictable (dA^p) integrator; on the "after T"
     atom X_theta is read at the horizon.  The extension and the atom measure
     are those of ``bundle``.  The result must match the direct conditional
-    expectation on the extension, node-wise to ``tol`` (checked here; a
-    mismatch is an implementation bug, not an input property).
+    expectation on the extension, cell-wise at every t to ``tol`` (checked
+    here; a mismatch is an implementation bug, not an input property).  One
+    F-projection of the tails for all t and one G-projection of X_theta make
+    the whole table.
     """
     ext = bundle.ext
     tree = ext.base
@@ -440,19 +482,18 @@ def key_lemma(bundle: ProjectionBundle, x: AdaptedProcess, t: int,
     paths = tree.path_nodes()
     contrib = xv[paths[:, 1:]] * d_int[paths[:, 1:]]           # (leaves, N)
     tail = np.concatenate([np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1],
-                           np.zeros((paths.shape[0], 1))], axis=1)  # sum over j>t
+                           np.zeros((paths.shape[0], 1))], axis=1)  # column t: j > t
     sentinel = xv[tree.leaves] * bundle.G.values[tree.leaves]
 
-    pre_leaf = tail[:, t] + sentinel
-    pre_num = ext.f_condexp(pre_leaf[ext.leaf_row], w)
+    pre_num = ext.f_condexp((tail + sentinel[:, None])[ext.leaf_row], w)
     G = bundle.G.values
-    if np.any(G[tree.level_slice(t)] <= 0.0):
+    if np.any(G <= 0.0):
         raise HazardError("G = 0 encountered in the key lemma at a live cell")
-    node = ext.node_at[:, t]
     x_theta = xv[ext.default_node]
-    out = np.where(ext.theta <= t, x_theta, pre_num[node] / G[node])
+    live = ext.theta[:, None] > np.arange(tree.n_periods + 1)
+    out = np.where(live, pre_num[ext.node_at] / G[ext.node_at], x_theta[:, None])
 
-    direct = ext.g_condexp(x_theta, w)[:, t]
+    direct = ext.g_condexp(x_theta, w)
     err = float(np.max(np.abs(out - direct)))
     if not err <= tol:
         raise IdentityError(f"key lemma ({variant}) disagrees with the direct "
@@ -587,30 +628,36 @@ def step_default_probs(bundle: ProjectionBundle, lam) -> np.ndarray:
     return pi
 
 
-def full_price_assembly(ext: ExtendedSpace, payoff, sigma: StoppingTime | None = None,
-                        lam=1.0, phi_pr: np.ndarray | None = None,
+def full_price_assembly(bundle: ProjectionBundle, payoff,
+                        sigma: StoppingTime | None = None, lam=1.0,
+                        phi_pr: np.ndarray | None = None,
                         reduced: AdaptedProcess | None = None,
                         tol: float = IDENTITY_TOL) -> AssemblyReport:
     """Assemble the full price: reduced value before theta, recovery from theta on.
 
-    The reduced price is the backward solve from the European module run on
-    the hazard written in survival-odds coordinates (delta = pi / (1 - pi)),
-    which makes the implicit backward step the exact one-step conditional
-    expectation on this extension.  The assembled process must coincide with
-    the direct conditional expectation of the terminal payoff under the tilted
-    measure on every cell (checked to ``tol``); recovery is sampled at the
-    decision node of the default step, matching right-support semantics.
+    ``bundle`` holds the projections of the extension ``bundle.ext`` under its
+    own measure.  The reduced price is the backward solve from the European
+    module run on the hazard written in survival-odds coordinates
+    (delta = pi / (1 - pi)), which makes the implicit backward step the exact
+    one-step conditional expectation on this extension.  The assembled process
+    must coincide with the direct conditional expectation of the terminal
+    payoff under the tilted measure on every cell (checked to ``tol``);
+    recovery is sampled at the decision node of the default step, matching
+    right-support semantics.
     """
     from . import measure_change as mc
     from .european import PayoffSpec, ReducedHazard, reduced_price_linear
 
+    ext = bundle.ext
+    if bundle.weights is not ext.prob and not np.array_equal(bundle.weights, ext.prob):
+        raise ValueError("full_price_assembly needs the projections under the "
+                         "extension's own measure")
     tree = ext.base
     n = tree.n_periods
     if sigma is None:
         sigma = StoppingTime.horizon(tree)
     if not isinstance(payoff, PayoffSpec):
         payoff = PayoffSpec(*payoff)
-    bundle = projections(ext)
     pi = step_default_probs(bundle, lam)
     delta_eff = pi / (1.0 - pi)
 

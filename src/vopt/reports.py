@@ -23,7 +23,11 @@ def fmt(x) -> str:
 
 
 def to_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON text with 17-significant-digit reals."""
+    """Deterministic JSON text with 17-significant-digit reals.
+
+    Non-finite reals are written ``NaN``, ``Infinity`` and ``-Infinity``,
+    which ``json.loads`` reads back.
+    """
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -43,6 +47,8 @@ def to_json(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return "NaN" if np.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
     return fmt(obj)
 
 

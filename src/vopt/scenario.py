@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ScenarioError
 from .european import PayoffSpec, ReducedHazard
 from .filtration import AdaptedProcess, FiniteTree, build_tree
+from .instances import random_extension, random_tree
 from .random_time import HazardSpec, ProjectionBundle, cox_extend, projections
 
 DEFAULT_TOLERANCES = {
@@ -46,6 +47,10 @@ ALL_SUITES = [
 
 @dataclass
 class Scenario:
+    """A parsed scenario.  The extensions the suites check are built once a
+    run, on first use: ``bundle`` for the scenario's own Cox extension and
+    ``family_bundles`` for the seeded random family."""
+
     name: str
     tree: FiniteTree
     hazard_h: HazardSpec
@@ -66,6 +71,25 @@ class Scenario:
         on first use.  The suites and the CLI artifacts share it, so nothing
         may write into its arrays."""
         return projections(cox_extend(self.tree, self.hazard_h))
+
+    @cached_property
+    def family_bundles(self) -> list[tuple[FiniteTree, ProjectionBundle]]:
+        """(tree, projections of its random extension) for each instance of
+        the seeded random family, in draw order; empty without a family.
+
+        Built on first use and shared by every suite that walks the family,
+        so nothing may write into its arrays.  The draws come from
+        ``random_family.seed`` alone, never from a suite's own stream, so
+        the list is the same whichever suite builds it.
+        """
+        if not self.family:
+            return []
+        rng = np.random.default_rng(self.family["seed"])
+        out = []
+        for _ in range(self.family["instances"]):
+            tree = random_tree(rng, self.family["max_periods"], self.family["max_branching"])
+            out.append((tree, projections(random_extension(rng, tree))))
+        return out
 
 
 def _node_table(tree: FiniteTree, spec, where: str) -> np.ndarray:

@@ -23,8 +23,7 @@ from .european import (constrained_snell, dirac_convergence_check, penalized_eur
 from .filtration import (DEFAULT_ENUM_CAP, AdaptedProcess, StoppingTime, backward,
                          brute_force_snell_root, _enumerate_stop_nodes,
                          evaluate_stopping, snell_envelope)
-from .instances import (random_delta_hazard, random_extension, random_payoff,
-                        random_phi, random_tree)
+from .instances import random_delta_hazard, random_payoff, random_phi, random_tree
 from .measure_change import (G_under_phi, compensated_default_residual, density_eta,
                              hazard_under_phi, phi_pr_from_marks)
 from .random_time import (jeulin_yor_transform, key_lemma, pre_default_transform,
@@ -74,13 +73,9 @@ def _worst(*residuals: float) -> float:
 
 def _family_instances(sc: Scenario):
     """(tree, projection bundle) of the scenario instance first, then of the
-    seeded random family."""
+    seeded random family; both are built once a run and shared."""
     yield sc.tree, sc.bundle
-    if sc.family:
-        rng = np.random.default_rng(sc.family["seed"])
-        for _ in range(sc.family["instances"]):
-            tree = random_tree(rng, sc.family["max_periods"], sc.family["max_branching"])
-            yield tree, projections(random_extension(rng, tree))
+    yield from sc.family_bundles
 
 
 def suite_projections_identities(sc: Scenario) -> SuiteResult:
@@ -95,9 +90,8 @@ def suite_projections_identities(sc: Scenario) -> SuiteResult:
         xp = np.empty(tree.n_nodes)
         xp[0] = x.values[0]
         xp[1:] = x.values[tree.parent[1:]]
-        for t in range(tree.n_periods + 1):
-            key_lemma(bundle, x, t, "optional", tol=tol)
-            key_lemma(bundle, AdaptedProcess(tree, xp), t, "predictable", tol=tol)
+        key_lemma(bundle, x, "optional", tol=tol)
+        key_lemma(bundle, AdaptedProcess(tree, xp), "predictable", tol=tol)
         count += 1
     return SuiteResult("projections-identities", worst <= tol, worst, tol, 0.0,
                        {"instances": count})
@@ -154,7 +148,7 @@ def suite_measure_change(sc: Scenario) -> SuiteResult:
     for _ in range(3):
         marks = phi_pr_from_marks(ext, rng.uniform(-0.7, 0.7, sc.tree.n_nodes),
                                   bundle, phi_o_arrival)
-        rep = full_price_assembly(ext, sc.payoff, lam=lam, phi_pr=marks)
+        rep = full_price_assembly(bundle, sc.payoff, lam=lam, phi_pr=marks)
         worst = _worst(worst, rep.residual)
         if base is None:
             base = rep.reduced.values

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -149,3 +150,29 @@ def test_oracle_malformed_scenario_exits_2(tmp_path, capsys):
     assert main(["oracle", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("scenario error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_report_with_nan_and_inf_residuals_is_json(tmp_path, monkeypatch, capsys):
+    # a NaN residual and a suite that raised (recorded as inf) are written as
+    # NaN and Infinity, which json.loads reads back
+    raw = json.loads(PACKAGED.read_text())
+    raw["suites"] = ["european-duality", "oracle-equivalence"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+
+    def nan_residual(sc):
+        return suites.SuiteResult("european-duality", False, float("nan"), 1e-5, 0.0)
+
+    def raises(sc):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(suites.SUITE_FUNCTIONS, "european-duality", nan_residual)
+    monkeypatch.setitem(suites.SUITE_FUNCTIONS, "oracle-equivalence", raises)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    text = (out / "report.json").read_text()
+    assert '"max_residual": NaN,' in text and '"max_residual": Infinity,' in text
+    report = json.loads(text)
+    assert math.isnan(report["suites"][0]["max_residual"])
+    assert report["suites"][1]["max_residual"] == math.inf
+    assert report["suites"][1]["details"]["error"] == "RuntimeError: boom"

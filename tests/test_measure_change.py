@@ -274,7 +274,7 @@ def test_reduced_price_invariant_to_post_default_mark():
     for _ in range(3):
         marks = phi_pr_from_marks(ext, rng.uniform(-0.7, 0.7, tree.n_nodes), b,
                                   phi_arrival)
-        rep = full_price_assembly(ext, pay, lam=lam, phi_pr=marks)
+        rep = full_price_assembly(b, pay, lam=lam, phi_pr=marks)
         assert rep.residual <= TOL
         results.append(rep.values.copy())
     for other in results[1:]:

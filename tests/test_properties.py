@@ -1,5 +1,5 @@
-"""Property tests of the two projection primitives of ExtendedSpace and of the
-closed-form reduced price."""
+"""Property tests of the two projection primitives of ExtendedSpace, the key
+lemma and the closed-form reduced price."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from vopt.european import reduced_price_closed_form, reduced_price_linear
 from vopt.filtration import AdaptedProcess, StoppingTime
 from vopt.instances import (random_delta_hazard, random_extension, random_payoff,
                             random_tree)
+from vopt.random_time import key_lemma, projections
 
 TOL = 1e-12
 
@@ -72,6 +73,87 @@ def test_g_condexp_keeps_g_measurable(inst):
     state = np.where(ext.theta[:, None] <= ks, ext.theta[:, None], n + 1)
     x = table[ext.node_at, state]
     assert np.allclose(ext.g_condexp(x, w), x, rtol=0, atol=TOL)
+
+
+# -- the cached cell layout and masses against uncached bincounts ---------------
+
+def sums(ext, ids, v, size):
+    """Per-id sums of v (per atom, or per atom and time), in atom order."""
+    flat = np.broadcast_to(v.reshape(ext.n_atoms, -1), ids.shape).ravel()
+    return np.bincount(ids.ravel(), weights=flat, minlength=size)
+
+
+def ref_f(ext, x, w):
+    """E[x_k | F_k] with the numerator and the cell masses summed afresh."""
+    v = w[:, None] * x if x.ndim == 2 else w * x
+    size = ext.base.n_nodes
+    return sums(ext, ext.node_at, v, size) / sums(ext, ext.node_at, w, size)
+
+
+def ref_g(ext, x, w):
+    """E[x_k | G_k] with the cell ids and masses rebuilt for x's columns."""
+    n = ext.base.n_periods
+    cols = n + 1 if x.ndim == 1 else x.shape[1]
+    theta = ext.theta[:, None]
+    cells = ext.node_at[:, :cols] * (n + 1) + np.where(theta <= np.arange(cols), theta, 0)
+    size = ext.base.n_nodes * (n + 1)
+    v = w[:, None] * x if x.ndim == 2 else w * x
+    num, den = sums(ext, cells, v, size), sums(ext, cells, w, size)
+    return np.divide(num, den, out=np.zeros(size), where=den > 0.0)[cells]
+
+
+def weight_kinds(ext, rng):
+    """None, the space's own array, an equal copy of it and a tilted measure,
+    each with the array the reference should use."""
+    tilt = ext.prob * rng.uniform(0.2, 5.0, ext.n_atoms)
+    return [(None, ext.prob), (ext.prob, ext.prob), (ext.prob.copy(), ext.prob),
+            (tilt / tilt.sum(), tilt / tilt.sum())]
+
+
+@props
+@given(instances)
+def test_primitives_equal_uncached_bincounts(inst):
+    ext, _, rng = build(*inst)
+    n = ext.base.n_periods
+    x2 = rng.uniform(-1.0, 1.0, (ext.n_atoms, n + 1))
+    for _ in range(2):      # the second pass reads the filled caches
+        for weights, w in weight_kinds(ext, rng):
+            for x in (x2[:, 0], x2):
+                assert np.array_equal(ext.f_condexp(x, weights), ref_f(ext, x, w))
+            for x in (x2[:, 0], x2, x2[:, :n], x2[:, :1]):
+                assert np.array_equal(ext.g_condexp(x, weights), ref_g(ext, x, w))
+
+
+def key_lemma_at(bundle, xv, t, variant):
+    """E[X_theta | G_t] for one t, from uncached per-t projections."""
+    ext, tree = bundle.ext, bundle.ext.base
+    w = bundle.weights
+    d_int = (bundle.dAp if variant == "predictable" else bundle.dAo).values
+    paths = tree.path_nodes()
+    contrib = xv[paths[:, 1:]] * d_int[paths[:, 1:]]
+    tail = np.concatenate([np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1],
+                           np.zeros((paths.shape[0], 1))], axis=1)
+    sentinel = xv[tree.leaves] * bundle.G.values[tree.leaves]
+    pre_num = ref_f(ext, (tail[:, t] + sentinel)[ext.leaf_row], w)
+    node = ext.node_at[:, t]
+    x_theta = xv[ext.default_node]
+    return np.where(ext.theta <= t, x_theta, pre_num[node] / bundle.G.values[node])
+
+
+@props
+@given(instances)
+def test_key_lemma_columns_equal_per_time_reference(inst):
+    ext, w, rng = build(*inst)
+    tree = ext.base
+    bundle = projections(ext, w if inst[2] else None)
+    x = rng.uniform(0.0, 3.0, tree.n_nodes)
+    xp = x.copy()
+    xp[1:] = x[tree.parent[1:]]
+    for variant, xv in (("optional", x), ("predictable", xp)):
+        out = key_lemma(bundle, AdaptedProcess(tree, xv), variant)
+        assert out.shape == (ext.n_atoms, tree.n_periods + 1)
+        for t in range(tree.n_periods + 1):
+            assert np.array_equal(out[:, t], key_lemma_at(bundle, xv, t, variant))
 
 
 # -- the closed-form oracle against the backward recursion ----------------------

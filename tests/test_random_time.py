@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vopt.errors import HazardError, IdentityError
+from vopt.errors import HazardError, IdentityError, TreeError
 from vopt.filtration import AdaptedProcess, StoppingTime, backward, build_tree
 from vopt.instances import (random_extension, random_hazard_h, random_payoff,
                             random_tree)
@@ -120,6 +120,50 @@ def test_scaling_sanity_high_hazard():
     assert np.allclose(b.G.values[tree.level_slice(3)], eps ** 3, atol=TOL)
 
 
+def test_extension_keeps_its_own_read_only_atom_arrays():
+    rng = np.random.default_rng(1)
+    tree = random_tree(rng, 3, 2)
+    base = cox_extend(tree, HazardSpec.constant(tree, 0.3))
+    given = {"leaf_row": base.leaf_row.copy(), "theta": base.theta.copy(),
+             "prob": base.prob.copy()}
+    ext = ExtendedSpace(tree, **given)
+    for key, arr in given.items():
+        assert arr.flags.writeable and not getattr(ext, key).flags.writeable
+        arr[0] = 1          # the caller's array stays the caller's
+        assert getattr(ext, key)[0] == getattr(base, key)[0]
+        with pytest.raises(ValueError):
+            getattr(ext, key)[0] = 1
+
+
+def test_extension_rejects_non_finite_atom_probability():
+    rng = np.random.default_rng(1)
+    tree = random_tree(rng, 3, 2)
+    base = cox_extend(tree, HazardSpec.constant(tree, 0.3))
+    for bad in (np.nan, np.inf):
+        prob = base.prob.copy()
+        prob[2] = bad
+        with pytest.raises(TreeError, match="atom 2 probability is not finite"):
+            ExtendedSpace(tree, base.leaf_row, base.theta, prob)
+
+
+def test_zero_mass_cell_raises_on_every_call():
+    # the own-measure masses are cached; a zero-mass F cell still raises
+    # every time, with or without the cache
+    rng = np.random.default_rng(2)
+    tree = random_tree(rng, 3, 2)
+    ext = cox_extend(tree, HazardSpec.constant(tree, 0.3))
+    w = ext.prob.copy()
+    w[ext.leaf_row == 0] = 0.0
+    w /= w.sum()
+    own = ExtendedSpace(tree, ext.leaf_row, ext.theta, w)
+    x = np.ones(ext.n_atoms)
+    msg = rf"^F_{tree.n_periods} cell with zero mass \(measure not equivalent\)$"
+    for _ in range(2):
+        for space, weights in ((ext, w), (own, None), (own, own.prob)):
+            with pytest.raises(HazardError, match=msg):
+                space.f_condexp(x, weights)
+
+
 # -- key lemma ------------------------------------------------------------------
 
 def test_key_lemma_constant():
@@ -128,10 +172,9 @@ def test_key_lemma_constant():
     ext = random_extension(rng, tree)
     b = projections(ext)
     c = AdaptedProcess.constant(tree, 2.5)
-    for t in range(tree.n_periods + 1):
-        out = key_lemma(b, c, t, "optional")
-        assert np.allclose(out, 2.5, atol=TOL)
-        out = key_lemma(b, c, t, "predictable")
+    for variant in ("optional", "predictable"):
+        out = key_lemma(b, c, variant)
+        assert out.shape == (ext.n_atoms, tree.n_periods + 1)
         assert np.allclose(out, 2.5, atol=TOL)
 
 
@@ -140,7 +183,7 @@ def test_key_lemma_expected_capped_default_time():
     tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.5))
     x = AdaptedProcess(tree, tree.grid.times[tree.level_of])
-    out = key_lemma(projections(ext), x, 0, "predictable")
+    out = key_lemma(projections(ext), x, "predictable")[:, 0]
     # theta = 1 w.p. 1/2, theta = 2 w.p. 1/4, after-T (reads t = 2) w.p. 1/4
     assert np.allclose(out, 0.5 * 1 + 0.25 * 2 + 0.25 * 2, atol=TOL)
 
@@ -151,7 +194,7 @@ def test_key_lemma_pre_default_part_at_zero():
     ext = random_extension(rng, tree)
     b = projections(ext)
     x = AdaptedProcess(tree, rng.uniform(0, 2, tree.n_nodes))
-    out = key_lemma(b, x, 0, "optional")
+    out = key_lemma(b, x, "optional")[:, 0]
     # at t = 0 the pre-default value is G_0^{-1} E[integral of X dA^o + X_T G_T]
     paths = tree.path_nodes()
     leg = (x.values[paths[:, 1:]] * b.dAo.values[paths[:, 1:]]).sum(axis=1)
@@ -166,7 +209,7 @@ def test_key_lemma_rejects_unpredictable_input():
     ext = random_extension(rng, tree)
     x = AdaptedProcess(tree, rng.uniform(0, 1, tree.n_nodes))
     with pytest.raises(ValueError, match="predictable"):
-        key_lemma(projections(ext), x, 0, "predictable")
+        key_lemma(projections(ext), x, "predictable")
 
 
 def test_key_lemma_reads_the_bundle_measure():
@@ -179,10 +222,10 @@ def test_key_lemma_reads_the_bundle_measure():
     w = ext.prob * rng.uniform(0.2, 5.0, ext.n_atoms)
     tilted = projections(ext, w / w.sum())
     x = AdaptedProcess(tree, rng.uniform(0, 2, tree.n_nodes))
-    out = key_lemma(tilted, x, 0, "optional")
-    assert out[0] == pytest.approx(float(np.dot(tilted.weights, x.values[ext.default_node])),
-                                   abs=1e-12)
-    assert abs(out[0] - key_lemma(projections(ext), x, 0, "optional")[0]) > 1e-6
+    out = key_lemma(tilted, x, "optional")
+    assert out[0, 0] == pytest.approx(float(np.dot(tilted.weights,
+                                                   x.values[ext.default_node])), abs=1e-12)
+    assert abs(out[0, 0] - key_lemma(projections(ext), x, "optional")[0, 0]) > 1e-6
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -195,9 +238,23 @@ def test_key_lemma_nan_input_raises():
     vals[tree.leaves[0]] = np.nan
     b = projections(ext)
     with pytest.raises(IdentityError):
-        key_lemma(b, AdaptedProcess(tree, vals), 0, "optional")
+        key_lemma(b, AdaptedProcess(tree, vals), "optional")
     with pytest.raises(ValueError, match="predictable"):
-        key_lemma(b, AdaptedProcess(tree, vals), 0, "predictable")
+        key_lemma(b, AdaptedProcess(tree, vals), "predictable")
+
+
+def test_key_lemma_messages():
+    rng = np.random.default_rng(22)
+    tree = random_tree(rng, max_periods=3)
+    b = projections(random_extension(rng, tree))
+    x = AdaptedProcess.constant(tree, 1.0)
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        key_lemma(b, x, "bogus")
+    # without terminal absorption G_N = 0: the check covers every level
+    ext = cox_extend(tree, HazardSpec.constant(tree, 0.3, terminal_absorption=False))
+    msg = "^G = 0 encountered in the key lemma at a live cell$"
+    with pytest.raises(HazardError, match=msg):
+        key_lemma(projections(ext), x, "optional")
 
 # -- martingale transforms -------------------------------------------------------
 
@@ -281,7 +338,7 @@ def test_assembly_constant_payoffs():
     tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.3))
     pay = PayoffSpec(AdaptedProcess.constant(tree, 1.7), AdaptedProcess.constant(tree, 1.7))
-    rep = full_price_assembly(ext, pay)
+    rep = full_price_assembly(projections(ext), pay)
     assert np.max(np.abs(rep.values - 1.7)) <= TOL
 
 
@@ -291,7 +348,7 @@ def test_assembly_no_default_reduces_to_european():
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.0))
     rng = np.random.default_rng(19)
     pay = random_payoff(rng, tree)
-    rep = full_price_assembly(ext, pay)
+    rep = full_price_assembly(projections(ext), pay)
     plain = backward(tree, pay.P.values[tree.level_slice(2)])
     assert np.max(np.abs(rep.values[:, 0] - plain[0])) <= TOL
 
@@ -301,7 +358,7 @@ def test_assembly_one_period_hand_value():
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.25))
     pay = PayoffSpec(AdaptedProcess(tree, np.array([0.0, 1.0, 3.0])),
                      AdaptedProcess.constant(tree, 1.4))
-    rep = full_price_assembly(ext, pay)
+    rep = full_price_assembly(projections(ext), pay)
     # default in (0, t_1] w.p. 0.25 pays R at the decision node (= 1.4),
     # survival pays E_Q[P_T] = 2
     assert rep.values[0, 0] == pytest.approx(0.25 * 1.4 + 0.75 * 2.0, abs=TOL)
@@ -318,7 +375,7 @@ def test_assembly_matches_direct_with_sigma_and_tilt():
         pay = random_payoff(rng, tree)
         lam = AdaptedProcess(tree, rng.uniform(0.3, 2.5, tree.n_nodes))
         sig = StoppingTime(tree, (pay.P.values > 1.2) | StoppingTime.horizon(tree).stop)
-        rep = full_price_assembly(ext, pay, sigma=sig, lam=lam)
+        rep = full_price_assembly(projections(ext), pay, sigma=sig, lam=lam)
         assert rep.residual <= TOL
 
 
@@ -329,7 +386,19 @@ def test_assembly_rejects_arrival_timed_hazard():
     ext = cox_extend(tree, HazardSpec(h, timing="arrival"))
     pay = PayoffSpec(AdaptedProcess.constant(tree, 1.0), AdaptedProcess.constant(tree, 2.0))
     with pytest.raises(HazardError, match="decision-timed"):
-        full_price_assembly(ext, pay)
+        full_price_assembly(projections(ext), pay)
+
+
+def test_assembly_needs_the_own_measure_bundle():
+    tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
+    ext = cox_extend(tree, HazardSpec.constant(tree, 0.3))
+    pay = PayoffSpec(AdaptedProcess.constant(tree, 1.0), AdaptedProcess.constant(tree, 2.0))
+    # an equal copy of the measure is accepted
+    rep = full_price_assembly(projections(ext, ext.prob.copy()), pay)
+    assert rep.residual <= TOL
+    w = ext.prob * np.linspace(0.5, 1.5, ext.n_atoms)
+    with pytest.raises(ValueError, match="own measure"):
+        full_price_assembly(projections(ext, w / w.sum()), pay)
 
 
 def test_assembly_consistent_with_reduced_module():
@@ -339,7 +408,7 @@ def test_assembly_consistent_with_reduced_module():
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.4))
     rng = np.random.default_rng(21)
     pay = random_payoff(rng, tree)
-    rep = full_price_assembly(ext, pay, lam=1.5)
+    rep = full_price_assembly(projections(ext), pay, lam=1.5)
     hz = ReducedHazard(tree, rep.delta_effective)
     again = reduced_price_linear(1.0, pay, hz, tree)
     assert np.max(np.abs(again.value.values - rep.reduced.values)) <= TOL

@@ -1,5 +1,6 @@
 """Report emission: number formatting, deterministic JSON and the CSV tables."""
 
+import json
 import math
 
 import numpy as np
@@ -167,3 +168,14 @@ def test_writers_print_special_values_as_fmt_does():
     text = table_csv(tree, {"x": vals})
     assert text == ref_table_csv(tree, {"x": vals})
     assert [line.split(",")[3] for line in text.splitlines()[1:4]] == ["nan", "inf", "-inf"]
+
+
+def test_to_json_writes_non_finite_reals_that_json_reads():
+    obj = {"a": math.nan, "b": [math.inf, -math.inf, np.float64("nan")], "c": 1.5}
+    text = to_json(obj)
+    assert text == '{\n  "a": NaN,\n  "b": [Infinity, -Infinity, NaN],\n  "c": 1.5\n}'
+    back = json.loads(text)
+    assert math.isnan(back["a"]) and math.isnan(back["b"][2])
+    assert back["b"][:2] == [math.inf, -math.inf] and back["c"] == 1.5
+    # CSV output keeps fmt's spelling
+    assert fmt(math.inf) == "inf" and fmt(math.nan) == "nan"

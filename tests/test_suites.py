@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vopt
-from vopt import cli, filtration, scenario, suites
+from vopt import cli, filtration, instances, random_time, scenario, suites
 from vopt.filtration import AdaptedProcess
 from vopt.random_time import projections
 from vopt.scenario import parse_scenario, scenario_from_dict
@@ -120,3 +121,30 @@ def test_oracle_suite_counts_each_tree_and_mask_once(monkeypatch):
     assert len(seen) == 2 * 9
     assert [allowed == b"\x01" * len(allowed) for _, allowed in seen[::2]] == [True] * 9
     assert len({tree for tree, _ in seen}) == 9
+
+
+def test_family_is_built_once_per_run(monkeypatch, tmp_path):
+    # the three suites that walk the random family share one (tree, bundle)
+    # list: each family extension and its projections are built once a run
+    counts = {"random_tree": 0, "random_extension": 0, "projections": 0}
+    for name in counts:
+        real = getattr(instances if name != "projections" else random_time, name)
+
+        def counting(*a, _real=real, _name=name, **k):
+            # the tilted projections of each Q^phi control are not counted
+            if _name != "projections" or (len(a) < 2 and k.get("weights") is None):
+                counts[_name] += 1
+            return _real(*a, **k)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("vopt") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    sc = parse_scenario(str(PACKAGED))
+    sc.suites = ["projections-identities", "martingale-transforms", "measure-change"]
+    report = suites.run_suites(sc)
+    cli._emit_run_artifacts(sc, report, str(tmp_path))
+    assert report.passed
+    n = sc.family["instances"]
+    assert [r.details.get("instances") for r in report.results[:2]] == [n + 1, n + 1]
+    # one projections call per family instance, plus the scenario's own bundle
+    assert counts == {"random_tree": n, "random_extension": n, "projections": n + 1}
