@@ -172,14 +172,6 @@ class AdaptedProcess:
     def constant(cls, tree: FiniteTree, c: float) -> "AdaptedProcess":
         return cls(tree, np.full(tree.n_nodes, float(c)))
 
-    @classmethod
-    def from_terminal(cls, tree: FiniteTree, terminal, measure: str = "Q") -> "AdaptedProcess":
-        """Martingale closure E[X_T | F_k] of terminal values."""
-        return cls(tree, backward(tree, terminal, measure=measure))
-
-    def at_level(self, k: int) -> np.ndarray:
-        return self.values[self.tree.level_slice(k)]
-
     def __add__(self, other):
         return AdaptedProcess(self.tree, self.values + _vals(other))
 

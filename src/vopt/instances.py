@@ -6,13 +6,10 @@ identity batches are reproducible across runs and thread counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import EnumerationCapError
 from .european import PayoffSpec, ReducedHazard
-from .filtration import AdaptedProcess, FiniteTree, build_tree, count_stopping_times
+from .filtration import AdaptedProcess, FiniteTree, build_tree
 from .measure_change import PhiControl, phi_pr_from_marks
 from .random_time import ExtendedSpace, HazardSpec, cox_extend, extend_with_kernel, projections
 
@@ -91,7 +88,7 @@ def random_phi(rng: np.random.Generator, ext: ExtendedSpace, bundle=None,
     if bundle is None:
         bundle = projections(ext)
     tree = ext.base
-    dgt = bundle.dGammaTilde()
+    dgt = bundle.dGammaTilde
     ratio = bundle.Gtilde.values / np.maximum(bundle.G.values, 1e-300)
     lo = np.where(dgt > 0.0, -ratio, -4.0)
     hi = np.where(dgt > 0.0, 1.0 / np.maximum(dgt, 1e-12), 6.0)
@@ -106,30 +103,3 @@ def random_phi(rng: np.random.Generator, ext: ExtendedSpace, bundle=None,
         phi_pr = phi_pr_from_marks(ext, rng.uniform(-0.8, 0.8, tree.n_nodes),
                                    bundle, phi_o)
     return PhiControl(AdaptedProcess(tree, phi_o), phi_pr, cap=cap)
-
-
-@dataclass
-class GameInstance:
-    tree: FiniteTree
-    payoff: PayoffSpec
-    hz: ReducedHazard
-
-
-def random_game_instance(rng: np.random.Generator, max_periods: int = 4,
-                         enum_cap: int = 200_000) -> GameInstance:
-    """Instance with P <= R on the support and an enumerable stopping-time set."""
-    while True:
-        tree = random_tree(rng, max_periods=max_periods,
-                           max_branching=2 if max_periods >= 4 else 3,
-                           with_density=False)
-        try:
-            if count_stopping_times(tree) > enum_cap:
-                continue
-        except EnumerationCapError:
-            continue
-        hz = random_delta_hazard(rng, tree)
-        payoff = random_payoff(rng, tree, r_dominates=False)
-        r = payoff.R.values.copy()
-        mask = hz.support_mask()
-        r[mask] = np.maximum(r[mask], payoff.P.values[mask])
-        return GameInstance(tree, PayoffSpec(payoff.P, AdaptedProcess(tree, r)), hz)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AdmissibilityError, IdentityError
 from .filtration import AdaptedProcess, FiniteTree, _vals, forward
 from .random_time import (IDENTITY_TOL, ExtendedSpace, ProjectionBundle,
-                          _increments, _path_exponential, _prev_values, projections)
+                          _path_exponential, projections)
 
 
 @dataclass
@@ -70,14 +70,9 @@ def _default_step_weights(ext: ExtendedSpace, bundle: ProjectionBundle,
     """Per node, the relative one-step weight of the default branch under the
     market and phi_o density factors: p_edge * (Z/E(N~)) * (1 + phi_o (1 - dG~))
     * dA^o.  phi_pr must be centered against these within every sibling group."""
-    tree = ext.base
-    zf = tree.density_zf()
-    dm = _increments(tree, bundle.m.values)
-    g_prev = _prev_values(tree, bundle.G.values, 1.0)
-    e_nt = _path_exponential(tree, np.divide(dm, g_prev, out=np.zeros_like(dm),
-                                             where=g_prev > 0))
-    dgt = bundle.dGammaTilde()
-    return tree.p_edge * zf / e_nt * (1.0 + phi_o * (1.0 - dgt)) * bundle.dAo.values
+    dgt = bundle.dGammaTilde
+    return (ext.base.p_edge * bundle.market_factor * (1.0 + phi_o * (1.0 - dgt))
+            * bundle.dAo.values)
 
 
 def _children_mean(tree: FiniteTree, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -139,7 +134,7 @@ def validate_phi(phi: PhiControl, ext: ExtendedSpace,
     n = tree.n_periods
     if bundle is None:
         bundle = projections(ext)
-    dgt = bundle.dGammaTilde()
+    dgt = bundle.dGammaTilde
     phi_o = _vals(phi.phi_o)
     phi_pr = phi.phi_pr_atoms(ext)
     viol: list[str] = []
@@ -192,7 +187,6 @@ class DensityBundle:
     eta: np.ndarray                     # (n_atoms, N+1)
     eta_o_proj: AdaptedProcess          # E[eta_k | F_k] per node
     qphi: np.ndarray                    # Q^phi atom probabilities
-    market_factor: np.ndarray = field(repr=False, default=None)
 
 
 def density_eta(phi: PhiControl, ext: ExtendedSpace,
@@ -216,15 +210,7 @@ def density_eta(phi: PhiControl, ext: ExtendedSpace,
 
     phi_o = _vals(phi.phi_o)
     phi_pr = phi.phi_pr_atoms(ext)
-    dgt = bundle.dGammaTilde()
-
-    # market factor: Z^F stopped at theta over E(N~) stopped at theta
-    zf = tree.density_zf()
-    dm = _increments(tree, bundle.m.values)
-    g_prev = _prev_values(tree, bundle.G.values, 1.0)
-    e_nt = _path_exponential(tree, np.divide(dm, g_prev, out=np.zeros_like(dm),
-                                             where=g_prev > 0))
-    market = zf[ext.stopped_node] / e_nt[ext.stopped_node]
+    dgt = bundle.dGammaTilde
 
     # default factor: E(phi^o . m^G) -- the step into the time-k node has the
     # survival factor before theta, the jump factor at theta and 1 after
@@ -234,7 +220,7 @@ def density_eta(phi: PhiControl, ext: ExtendedSpace,
     state = (ks >= theta).astype(np.int8) + (ks > theta)
     eta = np.ones((ext.n_atoms, n + 1))
     np.cumprod(factors[state, ext.node_at[:, 1:]], axis=1, out=eta[:, 1:])
-    eta *= market
+    eta *= bundle.market_factor[ext.stopped_node]   # Z^F / E(N~), stopped at theta
 
     # post-default factor: E(phi^pr . A)
     np.multiply(eta, 1.0 + phi_pr[:, None], out=eta, where=np.arange(n + 1) >= theta)
@@ -251,12 +237,12 @@ def density_eta(phi: PhiControl, ext: ExtendedSpace,
 
     proj = ext.f_condexp(eta)
     qphi = ext.prob * eta[:, n]
-    return DensityBundle(phi, bundle, eta, AdaptedProcess(tree, proj), qphi, market)
+    return DensityBundle(phi, bundle, eta, AdaptedProcess(tree, proj), qphi)
 
 
 def _d_lambda(dens: DensityBundle) -> np.ndarray:
     """Closed-form hazard increment under Q^phi: (1 + phi^o (1 - dGamma~)) dGamma~."""
-    dgt = dens.reference.dGammaTilde()
+    dgt = dens.reference.dGammaTilde
     return (1.0 + _vals(dens.phi.phi_o) * (1.0 - dgt)) * dgt
 
 
@@ -309,10 +295,6 @@ class GPhiReport:
     value: AdaptedProcess
     two_route_residual: float
     pseudo_stopping_residual: float     # max |o(eta) - Z^F|
-
-    @property
-    def looks_pseudo_stopping(self) -> bool:
-        return self.pseudo_stopping_residual <= 1e-10
 
 
 def G_under_phi(dens: DensityBundle, tilted: ProjectionBundle,

@@ -31,6 +31,13 @@ go stale.  A call whose ``weights`` are not the array ``prob`` (a Q^phi
 measure) sums its masses afresh.  The cached sums are the same ``bincount``
 over the same ids, so every result is bitwise what an uncached call gives.
 
+``projections`` reads every F-projection off one mass table per measure,
+M[v, j] = mass through node v with theta = t_j (j = N+1: "after T"): one
+``bincount`` over (leaf, theta), summed up the tree one level at a time.  G
+and G~ are suffix sums at the node's level, dA^o its column, dA^p and pG the
+parent's column and suffix; m and n are one upward sum of leaf values times
+leaf masses.  ``projections-identities`` checks it against ``f_condexp``.
+
 ``key_lemma`` answers E[X_theta | G_t] for every t at once: one F-projection
 of the tail sums of all times and one G-projection of X_theta make the whole
 (atom, time) table.
@@ -38,7 +45,7 @@ of the tail sums of all times and one G-projection of X_theta make the whole
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -277,9 +284,10 @@ class ProjectionBundle:
     """Every survival/hazard object of the reduced-form toolkit, exactly.
 
     All members are node-indexed processes except ``mG``/``nG`` which live on
-    the extension (atom x time).  ``dAo``/``dAp`` are the per-step increments
-    of the dual projections, stored at the time-k node for the step ending at
-    t_k (the A^p increment is constant across siblings by construction).
+    the extension (atom x time) and are built on first use.  ``dAo``/``dAp``
+    are the per-step increments of the dual projections, stored at the time-k
+    node for the step ending at t_k (the A^p increment is constant across
+    siblings by construction).
     """
 
     ext: ExtendedSpace
@@ -295,38 +303,81 @@ class ProjectionBundle:
     m: AdaptedProcess
     n: AdaptedProcess
     pG: AdaptedProcess
-    mG: np.ndarray = field(repr=False)
-    nG: np.ndarray = field(repr=False)
 
+    @cached_property
+    def mG(self) -> np.ndarray:
+        """A - Gamma~ stopped at theta: default compensated by the optional hazard."""
+        return self.ext.indicator() - self.GammaTilde.values[self.ext.stopped_node]
+
+    @cached_property
+    def nG(self) -> np.ndarray:
+        """A - Gamma stopped at theta: default compensated by the predictable hazard."""
+        return self.ext.indicator() - self.Gamma.values[self.ext.stopped_node]
+
+    @cached_property
     def dGammaTilde(self) -> np.ndarray:
-        tree = self.ext.base
-        out = np.zeros(tree.n_nodes)
-        sl = slice(1, tree.n_nodes)
-        out[sl] = self.GammaTilde.values[sl] - self.GammaTilde.values[tree.parent[sl]]
+        """Gamma~'s increment into every node (0 at the root); read-only, shared
+        by every Q^phi control built on this bundle."""
+        out = _increments(self.ext.base, self.GammaTilde.values)
+        out.flags.writeable = False
         return out
+
+    @cached_property
+    def market_factor(self) -> np.ndarray:
+        """Z^F / E(N~) at every node, with dN~ = dm / G_-; read-only, shared by
+        every Q^phi control built on this bundle."""
+        tree = self.ext.base
+        dm = _increments(tree, self.m.values)
+        g_prev = _prev_values(tree, self.G.values, 1.0)
+        e_nt = _path_exponential(tree, np.divide(dm, g_prev, out=np.zeros_like(dm),
+                                                 where=g_prev > 0))
+        out = tree.density_zf() / e_nt
+        out.flags.writeable = False
+        return out
+
+
+def _up_sums(tree: FiniteTree, leaf_rows: np.ndarray) -> np.ndarray:
+    """Per node, the sum of the ``leaf_rows`` below it, one level at a time."""
+    out = np.empty((tree.n_nodes,) + leaf_rows.shape[1:])
+    out[tree.level_slice(tree.n_periods)] = leaf_rows
+    for k in range(tree.n_periods - 1, -1, -1):
+        out[tree.level_slice(k)] = tree.sum_over_children(k, out[tree.level_slice(k + 1)])
+    return out
 
 
 def projections(ext: ExtendedSpace, weights: np.ndarray | None = None) -> ProjectionBundle:
     """Compute G, G~, A^o, A^p, Gamma, Gamma~, m, n, m^G, n^G on the extension.
 
     ``weights`` overrides the atom measure (used to redo everything under an
-    equivalent measure); defaults to the extension's own measure.
+    equivalent measure); defaults to the extension's own measure.  Every
+    F-projection is read off one mass table M[v, j], the mass of the atoms
+    through node v with theta = t_j (column N+1 for "after T").
     """
     tree = ext.base
     n = tree.n_periods
     w = ext.prob if weights is None else np.asarray(weights, dtype=float)
-    theta, ks = ext.theta[:, None], np.arange(n + 1)
-    up = tree.parent[1:]
+    cols = n + 2
+    M = _up_sums(tree, np.bincount(ext.leaf_row * cols + np.minimum(ext.theta, n + 1),
+                                   weights=w, minlength=tree.leaves.size * cols
+                                   ).reshape(-1, cols))
+    S = np.cumsum(M[:, ::-1], axis=1)[:, ::-1]     # S[v, j]: the mass with theta >= t_j
+    mass = S[:, 0]
+    if np.any(mass <= 0.0):
+        k = int(tree.level_of[np.argmax(mass <= 0.0)])
+        raise HazardError(f"F_{k} cell with zero mass (measure not equivalent)")
 
-    G = ext.f_condexp(theta > ks, w)
-    Gt = ext.f_condexp(theta >= ks, w)
-    dAo = ext.f_condexp(theta == ks, w)
-    # the step ending at t_{k+1}, projected on F_k (column k), read below the parent
+    v, k = np.arange(tree.n_nodes), tree.level_of
+    up, ku = tree.parent[1:], tree.level_of[1:]
+    G = S[v, k + 1] / mass
+    Gt = S[v, k] / mass
+    dAo = M[v, k] / mass
+    # read at the parent: the mass defaulting at t_k, and the mass beyond t_k,
+    # which makes pG = E[G_k | F_{k-1}] the child-mass-weighted mean of G
     dAp = np.zeros(tree.n_nodes)
-    dAp[1:] = ext.f_condexp(theta == ks + 1, w)[up]
+    dAp[1:] = M[up, ku] / mass[up]
     pG = np.empty(tree.n_nodes)
     pG[0] = G[0]
-    pG[1:] = ext.f_condexp(G[ext.node_at[:, np.minimum(ks + 1, n)]], w)[up]
+    pG[1:] = S[up, ku + 1] / mass[up]
 
     if np.any(G[up] <= 0.0):
         raise HazardError("Azema supermartingale hits zero before the horizon "
@@ -341,17 +392,13 @@ def projections(ext: ExtendedSpace, weights: np.ndarray | None = None) -> Projec
     Gamt = forward(tree, dAo / Gt, np.add, 0.0)
 
     # closing martingales of the dual projections (sentinel mass G_N lives after T)
-    leaves = tree.leaves
-    m = ext.f_condexp((Ao[leaves] + G[leaves])[ext.leaf_row], w)
-    nn = ext.f_condexp((Ap[leaves] + G[leaves])[ext.leaf_row], w)
+    leaves = tree.level_slice(n)
+    closing = np.stack([Ao[leaves] + G[leaves], Ap[leaves] + G[leaves]], axis=1)
+    m, nn = (_up_sums(tree, closing * mass[leaves, None]) / mass[:, None]).T
 
-    A = ext.indicator()
-    mG = A - Gamt[ext.stopped_node]
-    nG = A - Gam[ext.stopped_node]
-
-    P = lambda v: AdaptedProcess(tree, v)
+    P = lambda x: AdaptedProcess(tree, x)
     return ProjectionBundle(ext, w, P(G), P(Gt), P(Ao), P(Ap), P(dAo), P(dAp),
-                            P(Gam), P(Gamt), P(m), P(nn), P(pG), mG, nG)
+                            P(Gam), P(Gamt), P(m), P(nn), P(pG))
 
 
 # --------------------------------------------------------------------------
@@ -411,7 +458,7 @@ def verify_lemma21(bundle: ProjectionBundle) -> IdentityReport:
     dN = np.zeros(tree.n_nodes)
     dN[sl] = (n[sl] - n_prev[sl]) / bundle.pG.values[sl]
 
-    e_gamt = _path_exponential(tree, -bundle.dGammaTilde())
+    e_gamt = _path_exponential(tree, -bundle.dGammaTilde)
     e_gamt_prev = _prev_values(tree, e_gamt, 1.0)
     e_nt = _path_exponential(tree, dN_t)
     dGam = np.zeros(tree.n_nodes)
@@ -569,14 +616,15 @@ def pre_default_transform(ext: ExtendedSpace, M: AdaptedProcess,
 
 @dataclass
 class AssemblyReport:
-    """Assembled full price process, its reduced input, and the residual of the
-    direct-conditional-expectation cross-check."""
+    """Assembled full price process, its reduced input, the direct conditional
+    expectation it is checked against, and the residual of that check."""
 
     values: np.ndarray                 # (n_atoms, N+1)
     reduced: AdaptedProcess
     delta_effective: np.ndarray
     residual: float
     qphi: np.ndarray
+    direct: np.ndarray                 # E^{Q^phi}[payoff | G_k], (n_atoms, N+1)
 
 
 def _require_decision_timed(ext: ExtendedSpace, tol: float = 1e-10) -> None:
@@ -613,7 +661,7 @@ def step_default_probs(bundle: ProjectionBundle, lam) -> np.ndarray:
     """
     ext, tree = bundle.ext, bundle.ext.base
     _require_decision_timed(ext)
-    dgt = bundle.dGammaTilde()
+    dgt = bundle.dGammaTilde
     lam_v = _vals(lam) if not np.isscalar(lam) else np.full(tree.n_nodes, float(lam))
     if np.any(lam_v <= 0.0):
         raise ValueError("lambda must be strictly positive")
@@ -690,4 +738,4 @@ def full_price_assembly(bundle: ProjectionBundle, payoff,
     if residual > tol:
         raise IdentityError(f"full-price assembly disagrees with the direct "
                             f"conditional expectation by {residual:.3g}")
-    return AssemblyReport(assembled, reduced, delta_eff, residual, qphi)
+    return AssemblyReport(assembled, reduced, delta_eff, residual, qphi, direct)

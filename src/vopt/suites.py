@@ -85,7 +85,12 @@ def suite_projections_identities(sc: Scenario) -> SuiteResult:
     rng = np.random.default_rng(sc.phi_seed)
     for tree, bundle in _family_instances(sc):
         rep = verify_lemma21(bundle)
-        worst = _worst(worst, rep.max_residual)
+        # the mass-table G, G~ and dA^o against the direct per-atom Bayes sums
+        theta, ks = bundle.ext.theta[:, None], np.arange(tree.n_periods + 1)
+        worst = _worst(worst, rep.max_residual, *(
+            float(np.max(np.abs(bundle.ext.f_condexp(ind) - proj.values)))
+            for ind, proj in ((theta > ks, bundle.G), (theta >= ks, bundle.Gtilde),
+                              (theta == ks, bundle.dAo))))
         x = AdaptedProcess(tree, rng.uniform(0.0, 3.0, tree.n_nodes))
         xp = np.empty(tree.n_nodes)
         xp[0] = x.values[0]
@@ -135,15 +140,17 @@ def suite_measure_change(sc: Scenario) -> SuiteResult:
             worst = _worst(worst, *_qphi_residuals(bundle.ext, bundle, phi, tol))
             details["controls"] += 1
     # post-default marks: the density stays an exact martingale and the
-    # reduced (pre-default) option values are invariant to the mark.  Uses
-    # the vulnerable payoff itself: recovery read at the decision node is
-    # what makes the invariance exact.
+    # pre-default option values E^{Q^phi}[payoff | G_k] on theta > k, read
+    # from the direct conditional expectation under each mark's measure, are
+    # invariant to the mark.  Uses the vulnerable payoff itself: recovery
+    # read at the decision node is what makes the invariance exact.
     from .random_time import full_price_assembly
     bundle = sc.bundle
     ext = bundle.ext
     lam = AdaptedProcess(sc.tree, 1.0 + 0.4 * np.cos(np.arange(sc.tree.n_nodes)))
     phi_o_arrival = np.zeros(sc.tree.n_nodes)
     phi_o_arrival[1:] = lam.values[sc.tree.parent[1:]] - 1.0
+    pre = ext.theta[:, None] > np.arange(sc.tree.n_periods + 1)
     base = None
     for _ in range(3):
         marks = phi_pr_from_marks(ext, rng.uniform(-0.7, 0.7, sc.tree.n_nodes),
@@ -151,9 +158,9 @@ def suite_measure_change(sc: Scenario) -> SuiteResult:
         rep = full_price_assembly(bundle, sc.payoff, lam=lam, phi_pr=marks)
         worst = _worst(worst, rep.residual)
         if base is None:
-            base = rep.reduced.values
+            base = rep.direct[pre]
         else:
-            worst = _worst(worst, float(np.max(np.abs(rep.reduced.values - base))))
+            worst = _worst(worst, float(np.max(np.abs(rep.direct[pre] - base))))
         details["controls"] += 1
     return SuiteResult("measure-change", worst <= tol, worst, tol, 0.0, details)
 

@@ -1,5 +1,7 @@
 """Reflected solves, penalized American schemes, the constrained game, oracles."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,39 @@ from vopt.american import (american_reduced_price_phi, american_upper_price,
                            modified_payoff, penalized_american_lower,
                            penalized_american_upper,
                            rbsde_vs_weighted_optstop, reflected_gbsde_solve)
-from vopt.errors import TreeError
+from vopt.errors import EnumerationCapError, TreeError
 from vopt.european import PayoffSpec, ReducedHazard, reduced_price_linear
 from vopt.filtration import (AdaptedProcess, backward, brute_force_snell_root,
-                             build_tree, snell_envelope)
-from vopt.instances import (random_delta_hazard, random_game_instance, random_payoff,
-                            random_tree)
+                             build_tree, count_stopping_times, snell_envelope)
+from vopt.instances import random_delta_hazard, random_payoff, random_tree
 
 TOL = 1e-12
+
+
+@dataclass
+class GameInstance:
+    tree: object
+    payoff: PayoffSpec
+    hz: ReducedHazard
+
+
+def random_game_instance(rng, max_periods=4, enum_cap=200_000):
+    """Instance with P <= R on the support and an enumerable stopping-time set."""
+    while True:
+        tree = random_tree(rng, max_periods=max_periods,
+                           max_branching=2 if max_periods >= 4 else 3,
+                           with_density=False)
+        try:
+            if count_stopping_times(tree) > enum_cap:
+                continue
+        except EnumerationCapError:
+            continue
+        hz = random_delta_hazard(rng, tree)
+        payoff = random_payoff(rng, tree, r_dominates=False)
+        r = payoff.R.values.copy()
+        mask = hz.support_mask()
+        r[mask] = np.maximum(r[mask], payoff.P.values[mask])
+        return GameInstance(tree, PayoffSpec(payoff.P, AdaptedProcess(tree, r)), hz)
 
 
 def one_period_instance():

@@ -117,7 +117,7 @@ def test_martingale_residual_propagates_nan():
 def test_doob_martingale_case():
     rng = np.random.default_rng(2)
     tree = random_tree(rng)
-    x = AdaptedProcess.from_terminal(tree, rng.uniform(0, 2, tree.leaves.size), "Q")
+    x = AdaptedProcess(tree, backward(tree, rng.uniform(0, 2, tree.leaves.size), measure="Q"))
     n, b = doob_decomposition(x)
     assert np.max(np.abs(b.values)) <= TOL
     assert np.max(np.abs(n.values - x.values)) <= TOL
@@ -204,7 +204,7 @@ def test_snell_equals_enumeration():
             value.values[0], abs=TOL)
         # supermartingale dominating the masked reward
         ce_ok = all(np.all(condexp(tree, value.values, k, "Q")
-                           <= value.at_level(k) + TOL)
+                           <= value.values[tree.level_slice(k)] + TOL)
                     for k in range(tree.n_periods))
         assert ce_ok
         assert np.all(value.values[mask] >= reward.values[mask] - TOL)

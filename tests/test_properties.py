@@ -1,12 +1,14 @@
-"""Property tests of the two projection primitives of ExtendedSpace, the key
-lemma and the closed-form reduced price."""
+"""Property tests of the two projection primitives of ExtendedSpace, the
+mass-table projections, the key lemma and the closed-form reduced price."""
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vopt.european import reduced_price_closed_form, reduced_price_linear
-from vopt.filtration import AdaptedProcess, StoppingTime
+from vopt.filtration import AdaptedProcess, StoppingTime, forward
 from vopt.instances import (random_delta_hazard, random_extension, random_payoff,
                             random_tree)
 from vopt.random_time import key_lemma, projections
@@ -154,6 +156,76 @@ def test_key_lemma_columns_equal_per_time_reference(inst):
         assert out.shape == (ext.n_atoms, tree.n_periods + 1)
         for t in range(tree.n_periods + 1):
             assert np.array_equal(out[:, t], key_lemma_at(bundle, xv, t, variant))
+
+
+# -- the mass-table projections against exact rational sums ---------------------
+
+FIELDS = ("G", "Gtilde", "dAo", "dAp", "pG", "m", "n")
+
+
+def exact_projections(ext, w):
+    """Every F-projection of the bundle as exact Fractions of the float atom
+    masses: M[v][j] is the mass through node v with theta = t_j (N+1: after T)."""
+    tree = ext.base
+    n = tree.n_periods
+    lvl, par = tree.level_of, tree.parent
+    M = [[Fraction(0)] * (n + 2) for _ in range(tree.n_nodes)]
+    for a in range(ext.n_atoms):
+        for v in ext.node_at[a]:
+            M[v][min(int(ext.theta[a]), n + 1)] += Fraction(float(w[a]))
+    mass = [sum(row) for row in M]
+    out = {"G": [sum(M[v][lvl[v] + 1:]) / mass[v] for v in range(tree.n_nodes)],
+           "Gtilde": [sum(M[v][lvl[v]:]) / mass[v] for v in range(tree.n_nodes)],
+           "dAo": [M[v][lvl[v]] / mass[v] for v in range(tree.n_nodes)]}
+    out["dAp"] = [Fraction(0)] + [M[par[v]][lvl[v]] / mass[par[v]]
+                                  for v in range(1, tree.n_nodes)]
+    out["pG"] = [out["G"][0]] + [sum(M[par[v]][lvl[v] + 1:]) / mass[par[v]]
+                                 for v in range(1, tree.n_nodes)]
+    for name, inc in (("m", "dAo"), ("n", "dAp")):
+        acc = [Fraction(0)] * tree.n_nodes
+        for v in range(tree.n_nodes):
+            acc[v] = out[inc][v] + (acc[par[v]] if v else 0)
+        num = [Fraction(0)] * tree.n_nodes
+        for row, path in enumerate(tree.path_nodes()):
+            leaf = path[-1]
+            for v in path:
+                num[v] += mass[leaf] * (acc[leaf] + out["G"][leaf])
+        out[name] = [num[v] / mass[v] for v in range(tree.n_nodes)]
+    return out
+
+
+def condexp_projections(ext, w):
+    """The same fields, each from its own per-atom ``f_condexp`` pass."""
+    tree = ext.base
+    n = tree.n_periods
+    theta, ks, up = ext.theta[:, None], np.arange(n + 1), tree.parent[1:]
+    G = ext.f_condexp(theta > ks, w)
+    out = {"G": G, "Gtilde": ext.f_condexp(theta >= ks, w),
+           "dAo": ext.f_condexp(theta == ks, w),
+           "dAp": np.zeros(tree.n_nodes), "pG": np.full(tree.n_nodes, G[0])}
+    out["dAp"][1:] = ext.f_condexp(theta == ks + 1, w)[up]
+    out["pG"][1:] = ext.f_condexp(G[ext.node_at[:, np.minimum(ks + 1, n)]], w)[up]
+    leaves = tree.leaves
+    for name, inc in (("m", "dAo"), ("n", "dAp")):
+        acc = forward(tree, out[inc], np.add, 0.0)
+        out[name] = ext.f_condexp((acc[leaves] + G[leaves])[ext.leaf_row], w)
+    return out
+
+
+@props
+@given(instances)
+def test_mass_table_is_no_less_accurate_than_condexp(inst):
+    ext, w, _ = build(*inst)
+    bundle = projections(ext, w if inst[2] else None)
+    exact = exact_projections(ext, w)
+    direct = condexp_projections(ext, w)
+    for name in FIELDS:
+        table = getattr(bundle, name).values
+        for v, ex in enumerate(exact[name]):
+            err_table = abs(Fraction(float(table[v])) - ex)
+            err_direct = abs(Fraction(float(direct[name][v])) - ex)
+            slack = 4 * Fraction(float(np.spacing(abs(float(ex)))))
+            assert err_table <= err_direct + slack, (name, v)
 
 
 # -- the closed-form oracle against the backward recursion ----------------------

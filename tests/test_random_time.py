@@ -1,5 +1,7 @@
 """Extended space construction, projections, identity lemmas, transforms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,41 @@ def test_zero_mass_cell_raises_on_every_call():
         for space, weights in ((ext, w), (own, None), (own, own.prob)):
             with pytest.raises(HazardError, match=msg):
                 space.f_condexp(x, weights)
+
+
+def test_projections_zero_mass_message_and_no_warning():
+    # a zero-mass leaf, then a zero-mass level-1 subtree: projections raises
+    # the f_condexp message for the first empty cell, before any division
+    rng = np.random.default_rng(2)
+    tree = random_tree(rng, 3, 2)
+    ext = cox_extend(tree, HazardSpec.constant(tree, 0.3))
+    for empty, k in ((ext.leaf_row == 0, tree.n_periods), (ext.node_at[:, 1] == 1, 1)):
+        w = ext.prob.copy()
+        w[empty] = 0.0
+        w /= w.sum()
+        own = ExtendedSpace(tree, ext.leaf_row, ext.theta, w)
+        msg = rf"^F_{k} cell with zero mass \(measure not equivalent\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for space, weights in ((ext, w), (own, None)):
+                with pytest.raises(HazardError, match=msg):
+                    space.f_condexp(np.ones(ext.n_atoms), weights)
+                with pytest.raises(HazardError, match=msg):
+                    projections(space, weights)
+
+
+def test_compensated_default_martingales_are_built_on_first_use():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        tree = random_tree(rng, 3, 3)
+        ext = random_extension(rng, tree)
+        b = projections(ext)
+        assert "mG" not in vars(b) and "nG" not in vars(b)
+        for mg, hazard in ((b.mG, b.GammaTilde), (b.nG, b.Gamma)):
+            assert mg.shape == (ext.n_atoms, tree.n_periods + 1)
+            assert np.array_equal(mg, ext.indicator() - hazard.values[ext.stopped_node])
+            assert ext.g_martingale_residual(mg) <= TOL
+        assert b.mG is b.mG
 
 
 # -- key lemma ------------------------------------------------------------------

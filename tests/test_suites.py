@@ -148,3 +148,26 @@ def test_family_is_built_once_per_run(monkeypatch, tmp_path):
     assert [r.details.get("instances") for r in report.results[:2]] == [n + 1, n + 1]
     # one projections call per family instance, plus the scenario's own bundle
     assert counts == {"random_tree": n, "random_extension": n, "projections": n + 1}
+
+
+def test_measure_change_catches_a_mark_that_moves_pre_default_values(monkeypatch):
+    # mutant: each post-default mark also scales the default intensity.  Every
+    # assembly stays self-consistent (its residual is at rounding level) and
+    # every density admissible, but the pre-default values now move with the
+    # mark, which only the comparison across marks sees
+    sc = parse_scenario(str(PACKAGED))
+    assert suites.suite_measure_change(sc).passed
+    real = random_time.full_price_assembly
+    residuals = []
+
+    def leaky(bundle, payoff, sigma=None, lam=1.0, phi_pr=None, **kw):
+        lam = AdaptedProcess(lam.tree, lam.values * (1.0 + 0.1 * float(np.mean(phi_pr))))
+        rep = real(bundle, payoff, sigma, lam, phi_pr, **kw)
+        residuals.append(rep.residual)
+        return rep
+
+    monkeypatch.setattr(random_time, "full_price_assembly", leaky)
+    res = suites.suite_measure_change(sc)
+    assert "error" not in res.details
+    assert len(residuals) == 3 and max(residuals) <= res.tolerance
+    assert not res.passed and res.max_residual > 1e3 * res.tolerance
