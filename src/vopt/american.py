@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EnumerationCapError, HazardError, IdentityError, TreeError
-from .filtration import (DEFAULT_ENUM_CAP, AdaptedProcess, FiniteTree, StoppingTime,
-                         _enumerate_stop_nodes, _vals, backward, forward, snell_envelope)
+from .filtration import (DEFAULT_ENUM_CAP, AdaptedProcess, StoppingTime,
+                         _enumerate_stop_nodes, _vals, backward, forward, shared_tree,
+                         snell_envelope)
 from .european import (EuroSolveReport, PayoffSpec, ReducedHazard, _implicit_step,
                        _martingale_increments)
 
@@ -47,8 +48,7 @@ class GameValueReport:
 # --------------------------------------------------------------------------
 
 def reflected_gbsde_solve(generator: str, coeff, payoff: PayoffSpec,
-                          hz: ReducedHazard, tree: FiniteTree,
-                          obstacle: AdaptedProcess | None = None
+                          hz: ReducedHazard, obstacle: AdaptedProcess | None = None
                           ) -> ReflectedSolveReport:
     """Backward reflected solve: implicit generator step, then reflection.
 
@@ -59,6 +59,7 @@ def reflected_gbsde_solve(generator: str, coeff, payoff: PayoffSpec,
     nonnegative by construction and charges only nodes where the value sits
     on the obstacle, which is re-verified and reported as residuals.
     """
+    tree = shared_tree(payoff, hz, obstacle)
     if obstacle is None:
         obstacle = payoff.P
     obs = obstacle.values
@@ -82,22 +83,16 @@ def reflected_gbsde_solve(generator: str, coeff, payoff: PayoffSpec,
                                 _martingale_increments(tree, v, cont))
 
 
-def penalized_american_upper(n: float, payoff: PayoffSpec, hz: ReducedHazard,
-                             tree: FiniteTree) -> ReflectedSolveReport:
+def penalized_american_upper(n: float, payoff: PayoffSpec, hz: ReducedHazard
+                             ) -> ReflectedSolveReport:
     """Reflected solve with generator n (R - y)^+ above the obstacle P."""
-    return reflected_gbsde_solve("penalty_up", n, payoff, hz, tree)
+    return reflected_gbsde_solve("penalty_up", n, payoff, hz)
 
 
-def penalized_american_lower(n: float, payoff: PayoffSpec, hz: ReducedHazard,
-                             tree: FiniteTree) -> ReflectedSolveReport:
+def penalized_american_lower(n: float, payoff: PayoffSpec, hz: ReducedHazard
+                             ) -> ReflectedSolveReport:
     """Reflected solve with generator -n (y - R)^+ above the obstacle P."""
-    return reflected_gbsde_solve("penalty_down", n, payoff, hz, tree)
-
-
-def american_reduced_price_phi(lam, payoff: PayoffSpec, hz: ReducedHazard,
-                               tree: FiniteTree) -> ReflectedSolveReport:
-    """Reflected solve with the linear generator lam (R - y), obstacle P."""
-    return reflected_gbsde_solve("linear", lam, payoff, hz, tree)
+    return reflected_gbsde_solve("penalty_down", n, payoff, hz)
 
 
 # --------------------------------------------------------------------------
@@ -112,15 +107,16 @@ class RbsdeCompareReport:
     skorokhod_residual: float
 
 
-def _survival_from_delta(tree: FiniteTree, hz: ReducedHazard):
+def _survival_from_delta(hz: ReducedHazard):
     """Resolvent survival account G = prod 1/(1 + delta) and its dA^o increments."""
+    tree = hz.tree
     G = forward(tree, 1.0 / (1.0 + hz.delta[tree.parent]), np.multiply, 1.0)
     dAo = np.zeros(tree.n_nodes)
     dAo[1:] = G[tree.parent[1:]] - G[1:]
     return G, dAo
 
 
-def rbsde_vs_weighted_optstop(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree,
+def rbsde_vs_weighted_optstop(payoff: PayoffSpec, hz: ReducedHazard,
                               tol: float = 1e-10) -> RbsdeCompareReport:
     """Two routes to the reduced American value, compared node-wise.
 
@@ -129,7 +125,8 @@ def rbsde_vs_weighted_optstop(payoff: PayoffSpec, hz: ReducedHazard, tree: Finit
     linear unit generator.  Exact agreement is a theorem in this discrete
     model; disagreement beyond ``tol`` raises.
     """
-    G, dAo = _survival_from_delta(tree, hz)
+    tree = shared_tree(payoff, hz)
+    G, dAo = _survival_from_delta(hz)
     if np.any(G <= 0.0):
         raise HazardError("survival account hit zero")
     # recovery is collected at the decision node of each step
@@ -138,7 +135,7 @@ def rbsde_vs_weighted_optstop(payoff: PayoffSpec, hz: ReducedHazard, tree: Finit
     snell, _ = snell_envelope(xi, "Q")
     weighted = (snell.values - racc) / G
 
-    rb = reflected_gbsde_solve("linear", 1.0, payoff, hz, tree)
+    rb = reflected_gbsde_solve("linear", 1.0, payoff, hz)
     diff = float(np.max(np.abs(weighted - rb.value.values)))
     if diff > tol:
         raise IdentityError(f"weighted-stopping and reflected routes disagree by {diff:.3g}")
@@ -150,9 +147,9 @@ def rbsde_vs_weighted_optstop(payoff: PayoffSpec, hz: ReducedHazard, tree: Finit
 # Limit problems: modified-payoff Snell envelope and the constrained game
 # --------------------------------------------------------------------------
 
-def modified_payoff(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree
-                    ) -> AdaptedProcess:
+def modified_payoff(payoff: PayoffSpec, hz: ReducedHazard) -> AdaptedProcess:
     """zeta^u: max(P, R on the support) before T, P at T."""
+    tree = shared_tree(payoff, hz)
     mask = hz.support_mask()
     zeta = np.where(mask, np.maximum(payoff.P.values, payoff.R.values), payoff.P.values)
     term = tree.level_slice(tree.n_periods)
@@ -160,15 +157,13 @@ def modified_payoff(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree
     return AdaptedProcess(tree, zeta)
 
 
-def american_upper_price(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree
-                         ) -> EuroSolveReport:
+def american_upper_price(payoff: PayoffSpec, hz: ReducedHazard) -> EuroSolveReport:
     """Snell envelope (all stopping times) of the modified payoff zeta^u."""
-    value, tau = snell_envelope(modified_payoff(payoff, hz, tree), "Q")
-    return EuroSolveReport(value, np.zeros(tree.n_nodes), tau_star=tau)
+    value, tau = snell_envelope(modified_payoff(payoff, hz), "Q")
+    return EuroSolveReport(value, np.zeros(value.tree.n_nodes), tau_star=tau)
 
 
-def constrained_dynkin_game(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree
-                            ) -> GameValueReport:
+def constrained_dynkin_game(payoff: PayoffSpec, hz: ReducedHazard) -> GameValueReport:
     """Zero-sum stopping game: maximizer stops anywhere for P, minimizer stops
     on the hazard support for P-or-R (ties settle on the minimizer).
 
@@ -176,6 +171,7 @@ def constrained_dynkin_game(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteT
     induction with V_T = P_T, V = min(P v R, max(P, E)) on support nodes and
     max(P, E) elsewhere.  Earliest optimal strategies for both players.
     """
+    tree = shared_tree(payoff, hz)
     mask = hz.support_mask()
     term = tree.level_slice(tree.n_periods)
     pv, rv = payoff.P.values, payoff.R.values
@@ -197,17 +193,17 @@ def constrained_dynkin_game(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteT
         return val
 
     v = backward(tree, pv, step)
-    game = GameValueReport(AdaptedProcess(tree, v),
+    return GameValueReport(AdaptedProcess(tree, v),
                            StoppingTime(tree, sig | StoppingTime.horizon(tree).stop),
                            StoppingTime(tree, tau | StoppingTime.horizon(tree).stop),
                            float(v[0]), float(v[0]))
-    return game
 
 
-def game_payoff(payoff: PayoffSpec, tree: FiniteTree, sigma: StoppingTime,
-                tau: StoppingTime, measure: str = "Q") -> float:
+def game_payoff(payoff: PayoffSpec, sigma: StoppingTime, tau: StoppingTime,
+                measure: str = "Q") -> float:
     """Exact E[X(sigma, tau)]: P at sigma if tau comes later, else P v R at tau
     (P at the horizon)."""
+    tree = shared_tree(payoff, sigma, tau)
     pv, rv = payoff.P.values, payoff.R.values
     upper = np.maximum(pv, rv)
     term = tree.level_slice(tree.n_periods)
@@ -221,9 +217,8 @@ def game_payoff(payoff: PayoffSpec, tree: FiniteTree, sigma: StoppingTime,
     return float(np.dot(w, pay))
 
 
-def brute_force_game(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree,
-                     cap: int = DEFAULT_ENUM_CAP, pair_cap: int = 50_000_000
-                     ) -> GameValueReport:
+def brute_force_game(payoff: PayoffSpec, hz: ReducedHazard, cap: int = DEFAULT_ENUM_CAP,
+                     pair_cap: int = 50_000_000) -> GameValueReport:
     """Exhaustive inf-sup and sup-inf over enumerated stopping-time pairs.
 
     The maximizer ranges over all stopping times, the minimizer over
@@ -233,6 +228,7 @@ def brute_force_game(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree,
     maximizer's P at sigma; the scan keeps, per row and per column, the
     running minimum and maximum over the pairs.
     """
+    tree = shared_tree(payoff, hz)
     all_mask = np.ones(tree.n_nodes, dtype=bool)
     sup_mask = hz.support_mask()
     sig_nodes = _enumerate_stop_nodes(tree, all_mask, cap)

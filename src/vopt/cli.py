@@ -30,14 +30,14 @@ def _emit_run_artifacts(sc: Scenario, report: RunReport, out_dir: str) -> None:
                        reports.to_json(report.to_dict()) + "\n")
     reports.write_text(os.path.join(out_dir, "bundle.csv"), reports.bundle_csv(sc.bundle))
 
-    snell = constrained_snell(sc.payoff, sc.hazard_delta, sc.tree)
+    snell = constrained_snell(sc.payoff, sc.hazard_delta)
     reports.write_text(os.path.join(out_dir, "values_constrained_snell.csv"),
                        reports.process_csv(snell.value, "constrained_snell"))
-    upper = american_upper_price(sc.payoff, sc.hazard_delta, sc.tree)
+    upper = american_upper_price(sc.payoff, sc.hazard_delta)
     reports.write_text(os.path.join(out_dir, "values_american_upper.csv"),
                        reports.process_csv(upper.value, "american_upper"))
     try:
-        game = constrained_dynkin_game(sc.payoff, sc.hazard_delta, sc.tree)
+        game = constrained_dynkin_game(sc.payoff, sc.hazard_delta)
         reports.write_text(os.path.join(out_dir, "values_game.csv"),
                            reports.process_csv(game.value, "game_value"))
         reports.write_text(os.path.join(out_dir, "strategies_game.csv"),
@@ -85,9 +85,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in args.values:
         mod = _scaled_scenario(sc, args.param, value)
-        snell = constrained_snell(mod.payoff, mod.hazard_delta, mod.tree)
+        snell = constrained_snell(mod.payoff, mod.hazard_delta)
         top = mod.penalty_ladder[-1]
-        pen = penalized_european(top, mod.payoff, mod.hazard_delta, mod.tree)
+        pen = penalized_european(top, mod.payoff, mod.hazard_delta)
         gap = float(np.max(np.abs(snell.value.values - pen.value.values)))
         rows.append({"param": args.param, "value": float(value),
                      "root_value": float(snell.value.values[0]),

@@ -6,7 +6,8 @@ the implicit step value = (E + a R) / (1 + a) with a = lambda * delta: it is
 unconditionally stable in the penalty level and solves the linear generator
 lambda (R - y) d(hazard) in closed form.  The matching "discount" is the
 resolvent product 1 / prod(1 + a), so the closed-form route telescopes
-exactly against the recursion.
+exactly against the recursion.  Every solver reads its tree from its inputs
+(payoff, hazard, stopping times), which must all live on the same tree.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import numpy as np
 
 from .errors import HazardError, IdentityError, TreeError
 from .filtration import (AdaptedProcess, FiniteTree, StoppingTime, _vals, backward,
-                         forward, snell_envelope)
+                         forward, shared_tree, snell_envelope)
 
 DELTA_BUDGET_CAP = 1e3
+GRID_POINTS = 64            # tilts scanned by ``sup_over_phi(mode="grid")``
 
 
 @dataclass
@@ -72,6 +74,8 @@ class PayoffSpec:
     R: AdaptedProcess
 
     def __post_init__(self):
+        if self.R.tree is not self.P.tree:
+            raise TreeError("payoff P and R live on different trees")
         for name, proc in (("P", self.P), ("R", self.R)):
             bad = np.flatnonzero(~(np.isfinite(proc.values) & (proc.values >= 0.0)))
             if bad.size:
@@ -84,6 +88,13 @@ class PayoffSpec:
 
     def bound(self) -> float:
         return float(max(self.P.values.max(), self.R.values.max()))
+
+    def stop_reward(self) -> np.ndarray:
+        """What stopping pays: R before the horizon, P at it."""
+        reward = self.R.values.copy()
+        term = self.tree.level_slice(self.tree.n_periods)
+        reward[term] = self.P.values[term]
+        return reward
 
 
 @dataclass
@@ -106,13 +117,11 @@ def _lambda_values(tree: FiniteTree, lam) -> np.ndarray:
     return v
 
 
-def _stop_masks(tree: FiniteTree, sigma: StoppingTime | None):
+def _stop_masks(sigma: StoppingTime):
     """(stops_here, anchor) for an exercise horizon: ``anchor[v]`` is the node
     whose value ``v`` carries, the first stop node above it or ``v`` itself."""
-    if sigma is None:
-        sigma = StoppingTime.horizon(tree)
     stops = sigma.stop.copy()
-    anchor = forward(tree, np.arange(tree.n_nodes),
+    anchor = forward(sigma.tree, np.arange(sigma.tree.n_nodes),
                      lambda up, own: np.where(stops[up], up, own), 0)
     return stops, anchor
 
@@ -148,8 +157,8 @@ def _implicit_step(kind: str, e: np.ndarray, r: np.ndarray, a: np.ndarray) -> np
     return y
 
 
-def _implicit_backward(tree: FiniteTree, payoff: PayoffSpec, delta: np.ndarray,
-                       step_fn, sigma: StoppingTime | None):
+def _implicit_backward(payoff: PayoffSpec, hz: ReducedHazard, step_fn,
+                       sigma: StoppingTime | None):
     """Shared backward engine: implicit one-step solve, stopped at sigma.
 
     ``step_fn(e, r, d, sl)`` returns the pre-exercise value at the level-k
@@ -157,8 +166,9 @@ def _implicit_backward(tree: FiniteTree, payoff: PayoffSpec, delta: np.ndarray,
     :func:`_implicit_step`.  Returns the sigma-stopped value process and
     per-node martingale increments.
     """
-    stops, anchor = _stop_masks(tree, sigma)
-    pv, rv = payoff.P.values, payoff.R.values
+    tree = payoff.tree
+    stops, anchor = _stop_masks(sigma or StoppingTime.horizon(tree))
+    pv, rv, delta = payoff.P.values, payoff.R.values, hz.delta
     cont = np.zeros(tree.n_nodes)
 
     def step(sl, e):
@@ -171,27 +181,25 @@ def _implicit_backward(tree: FiniteTree, payoff: PayoffSpec, delta: np.ndarray,
     return v[anchor], zinc
 
 
-def reduced_price_linear(lam, payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree,
+def reduced_price_linear(lam, payoff: PayoffSpec, hz: ReducedHazard,
                          sigma: StoppingTime | None = None) -> EuroSolveReport:
     """Backward solve of the linear generator lambda (R - y) against the hazard.
 
     One step: V_k = (E + a R_k) / (1 + a), a = lambda_k delta_{k+1}; terminal
     value P; exercise horizon sigma (default T) freezes the solution at P.
     """
+    tree = shared_tree(payoff, hz, sigma)
     lam_v = _lambda_values(tree, lam)
-    if np.any(hz.delta < 0.0):
-        raise HazardError("delta < 0")
 
     def step(e, r, d, sl):
         return _implicit_step("linear", e, r, lam_v[sl] * d)
 
-    v, z = _implicit_backward(tree, payoff, hz.delta, step, sigma)
+    v, z = _implicit_backward(payoff, hz, step, sigma)
     return EuroSolveReport(AdaptedProcess(tree, v), z)
 
 
 def reduced_price_closed_form(lam, payoff: PayoffSpec, hz: ReducedHazard,
-                              tree: FiniteTree, sigma: StoppingTime | None = None
-                              ) -> EuroSolveReport:
+                              sigma: StoppingTime | None = None) -> EuroSolveReport:
     """Direct expectation route: the payoff at the first stop of ``sigma``
     discounted by the resolvent product, plus the recovery leg collected step
     by step, summed over the paths below each node.
@@ -205,8 +213,9 @@ def reduced_price_closed_form(lam, payoff: PayoffSpec, hz: ReducedHazard,
     independent of the backward recursion; it must agree with
     ``reduced_price_linear`` node-wise to 1e-12, which is asserted.
     """
+    tree = shared_tree(payoff, hz, sigma)
     lam_v = _lambda_values(tree, lam)
-    stops, anchor = _stop_masks(tree, sigma)
+    stops, anchor = _stop_masks(sigma or StoppingTime.horizon(tree))
     paths = tree.path_nodes()
     n = tree.n_periods
     pv, rv = payoff.P.values, payoff.R.values
@@ -227,55 +236,55 @@ def reduced_price_closed_form(lam, payoff: PayoffSpec, hz: ReducedHazard,
         v[sl] = np.where(stops[sl], pv[sl], sums)
     v = v[anchor]
 
-    lin = reduced_price_linear(lam, payoff, hz, tree, sigma)
+    lin = reduced_price_linear(lam, payoff, hz, sigma)
     err = float(np.max(np.abs(lin.value.values - v)))
     if err > 1e-12:
         raise IdentityError(f"closed-form and recursion routes disagree by {err:.3g}")
     return EuroSolveReport(AdaptedProcess(tree, v), lin.martingale_increments)
 
 
-def penalized_european(n: float, payoff: PayoffSpec, hz: ReducedHazard,
-                       tree: FiniteTree) -> EuroSolveReport:
+def penalized_european(n: float, payoff: PayoffSpec, hz: ReducedHazard
+                       ) -> EuroSolveReport:
     """Implicit step for the one-sided penalty generator n (R - y)^+."""
+    tree = shared_tree(payoff, hz)
     if n < 0:
         raise ValueError("penalty level must be nonnegative")
 
     def step(e, r, d, sl):
         return _implicit_step("penalty_up", e, r, n * d)
 
-    v, z = _implicit_backward(tree, payoff, hz.delta, step, None)
+    v, z = _implicit_backward(payoff, hz, step, None)
     return EuroSolveReport(AdaptedProcess(tree, v), z)
 
 
-def constrained_snell(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree
-                      ) -> EuroSolveReport:
+def constrained_snell(payoff: PayoffSpec, hz: ReducedHazard) -> EuroSolveReport:
     """Optimal stopping constrained to the hazard's right support.
 
     Reward: recovery R before the horizon, promised payoff P at the horizon;
     stopping allowed only on the support mask.  Returns the value and the
     earliest optimal constrained stopping time.
     """
-    reward = payoff.R.values.copy()
-    term = tree.level_slice(tree.n_periods)
-    reward[term] = payoff.P.values[term]
-    value, tau = snell_envelope(AdaptedProcess(tree, reward), "Q", hz.support_mask())
+    tree = shared_tree(payoff, hz)
+    reward = AdaptedProcess(tree, payoff.stop_reward())
+    value, tau = snell_envelope(reward, "Q", hz.support_mask())
     return EuroSolveReport(value, np.zeros(tree.n_nodes), tau_star=tau)
 
 
-def sup_over_phi(n: float, payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree,
-                 mode: str = "closed_form", grid_points: int = 64) -> EuroSolveReport:
+def sup_over_phi(n: float, payoff: PayoffSpec, hz: ReducedHazard,
+                 mode: str = "closed_form") -> EuroSolveReport:
     """Per-node supremum of the linear solve over tilts lambda in (0, n].
 
     closed_form uses the per-node maximizer (the step is monotone in lambda
     with the sign of R - E, so the argmax is n when R exceeds the
     continuation and the infimal-lambda limit otherwise); grid scans a
-    geometric lambda grid.  The closed form coincides with the penalized
-    scheme at level n, node for node.
+    geometric grid of ``GRID_POINTS`` tilts.  The closed form coincides with
+    the penalized scheme at level n, node for node.
     """
+    tree = shared_tree(payoff, hz)
     if mode not in ("closed_form", "grid"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "grid":
-        lams = np.geomspace(2.0 ** -6, n, grid_points)
+        lams = np.geomspace(2.0 ** -6, n, GRID_POINTS)
     lam_star = np.zeros(tree.n_nodes)
 
     def step(e, r, d, sl):
@@ -287,48 +296,51 @@ def sup_over_phi(n: float, payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTr
         lam_star[sl] = lams[np.argmax(vals, axis=0)]
         return best
 
-    v, z = _implicit_backward(tree, payoff, hz.delta, step, None)
+    v, z = _implicit_backward(payoff, hz, step, None)
     return EuroSolveReport(AdaptedProcess(tree, v), z, lambda_star=lam_star)
 
 
 @dataclass
 class DiracTable:
-    """Convergence of the exponential-kernel recovery leg to a point mass."""
+    """Convergence of the exponential-kernel recovery leg to a point mass;
+    ``rate_excess`` is the most any gap exceeds its bound B / (1 + n delta)."""
 
     levels: list[int]
     gaps: list[float]
-
-    @property
-    def strictly_decreasing(self) -> bool:
-        return all(b < a for a, b in zip(self.gaps, self.gaps[1:]))
+    rate_excess: float
 
     def to_trace(self) -> dict:
         return {"param": "n", "values": list(self.levels), "gaps": list(self.gaps)}
 
 
-def dirac_convergence_check(payoff: PayoffSpec, hz: ReducedHazard, tree: FiniteTree,
-                            nu: StoppingTime, levels=None) -> DiracTable:
+def dirac_convergence_check(payoff: PayoffSpec, hz: ReducedHazard, nu: StoppingTime,
+                            levels=None) -> DiracTable:
     """Scaled-hazard limit: the discounted payoff started at nu collapses to
     the reward at nu as the hazard is inflated.
 
     For each penalty level n the reduced price with lambda = n is evaluated
     exactly by the linear recursion (``reduced_price_linear``) and compared
-    at the stop nodes of nu with P_nu 1{nu = T} + R_nu 1{nu < T}; the
-    sup-norm gap over those nodes must shrink monotonically.
+    at the stop nodes of nu with P_nu 1{nu = T} + R_nu 1{nu < T}.  One
+    implicit step gives V^n_nu - R_nu = (E - R_nu) / (1 + n delta_nu) with E
+    and R_nu in [0, B], B = ``payoff.bound()``, so every gap is at most
+    B / (1 + n delta_nu) at its node.  The gap need not shrink monotonically:
+    E moves with n and can cross R_nu, flipping the sign of the gap.
     """
+    shared_tree(payoff, hz, nu)
     mask = hz.support_mask()
     stop_nodes = np.unique(nu.stop_nodes_per_path())
     if not np.all(mask[stop_nodes]):
         raise ValueError("nu stops outside the hazard support")
     if levels is None:
         levels = [2 ** k for k in range(15)]
-    term = tree.level_slice(tree.n_periods)
-    target = payoff.R.values.copy()
-    target[term] = payoff.P.values[term]
+    target = payoff.stop_reward()[stop_nodes]
+    bound, d = payoff.bound(), hz.delta[stop_nodes]
 
     gaps = []
+    excess = np.full(stop_nodes.size, -np.inf)
     for n in levels:
-        rep = reduced_price_linear(float(n), payoff, hz, tree)
-        gap = float(np.max(np.abs(rep.value.values[stop_nodes] - target[stop_nodes])))
-        gaps.append(gap)
-    return DiracTable(list(levels), gaps)
+        rep = reduced_price_linear(float(n), payoff, hz)
+        gap = np.abs(rep.value.values[stop_nodes] - target)
+        gaps.append(float(np.max(gap)))
+        excess = np.maximum(excess, gap - bound / (1.0 + n * d))
+    return DiracTable(list(levels), gaps, float(np.max(excess)))

@@ -228,6 +228,18 @@ class StoppingTime:
         return paths[np.arange(paths.shape[0]), lv]
 
 
+def shared_tree(*objs) -> FiniteTree:
+    """The ``.tree`` of every given object (``None`` skipped); ``TreeError`` if
+    two of them are different tree objects, even trees of the same size."""
+    given = [o for o in objs if o is not None]
+    tree = given[0].tree
+    for o in given[1:]:
+        if o.tree is not tree:
+            raise TreeError(f"{type(o).__name__} lives on a different tree than "
+                            f"{type(given[0]).__name__}")
+    return tree
+
+
 # --------------------------------------------------------------------------
 # Tree construction
 # --------------------------------------------------------------------------
@@ -560,7 +572,7 @@ def enumerate_stopping_times(tree: FiniteTree, allowed: np.ndarray | None = None
 
 def evaluate_stopping(reward, tau: StoppingTime, measure: str = "Q") -> float:
     """Exact E[reward at the stopped node] under the chosen measure."""
-    tree = reward.tree
+    tree = shared_tree(reward, tau)
     nodes = tau.stop_nodes_per_path()
     w = tree.node_probs(measure)[tree.leaves]
     return float(np.dot(w, reward.values[nodes]))

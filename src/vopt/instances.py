@@ -11,7 +11,8 @@ import numpy as np
 from .european import PayoffSpec, ReducedHazard
 from .filtration import AdaptedProcess, FiniteTree, build_tree
 from .measure_change import PhiControl, phi_pr_from_marks
-from .random_time import ExtendedSpace, HazardSpec, cox_extend, extend_with_kernel, projections
+from .random_time import (ExtendedSpace, HazardSpec, ProjectionBundle, cox_extend,
+                          extend_with_kernel)
 
 
 def random_tree(rng: np.random.Generator, max_periods: int = 4, max_branching: int = 3,
@@ -76,7 +77,7 @@ def random_delta_hazard(rng: np.random.Generator, tree: FiniteTree,
     return ReducedHazard(tree, d)
 
 
-def random_phi(rng: np.random.Generator, ext: ExtendedSpace, bundle=None,
+def random_phi(rng: np.random.Generator, bundle: ProjectionBundle,
                cap: float | None = None, with_pr: bool = True) -> PhiControl:
     """Admissible control with sign changes in phi^o, sampled inside the
     strict-positivity bounds of the instance.
@@ -85,9 +86,7 @@ def random_phi(rng: np.random.Generator, ext: ExtendedSpace, bundle=None,
     transformation rule is an exact theorem.  The control is not validated
     here: :func:`density_eta` checks it once, when its density is built.
     """
-    if bundle is None:
-        bundle = projections(ext)
-    tree = ext.base
+    tree = bundle.ext.base
     dgt = bundle.dGammaTilde
     ratio = bundle.Gtilde.values / np.maximum(bundle.G.values, 1e-300)
     lo = np.where(dgt > 0.0, -ratio, -4.0)
@@ -100,6 +99,5 @@ def random_phi(rng: np.random.Generator, ext: ExtendedSpace, bundle=None,
     phi_o = rng.uniform(lo_eff, hi_eff)
     phi_pr = None
     if with_pr:
-        phi_pr = phi_pr_from_marks(ext, rng.uniform(-0.8, 0.8, tree.n_nodes),
-                                   bundle, phi_o)
+        phi_pr = phi_pr_from_marks(bundle, rng.uniform(-0.8, 0.8, tree.n_nodes), phi_o)
     return PhiControl(AdaptedProcess(tree, phi_o), phi_pr, cap=cap)

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, IdentityError
 from .filtration import AdaptedProcess, FiniteTree, _vals, forward
-from .random_time import (IDENTITY_TOL, ExtendedSpace, ProjectionBundle,
-                          _path_exponential, projections)
+from .random_time import IDENTITY_TOL, ExtendedSpace, ProjectionBundle, _path_exponential
 
 
 @dataclass
@@ -51,8 +50,8 @@ class PhiControl:
         return np.where(ext.theta <= ext.base.n_periods,
                         self.phi_pr_nodes(ext)[ext.default_node], 0.0)
 
-    def is_graph_trivial(self, ext: ExtendedSpace, bundle=None,
-                         tol: float = IDENTITY_TOL) -> bool:
+    def is_graph_trivial(self, bundle: ProjectionBundle, tol: float = IDENTITY_TOL
+                         ) -> bool:
         """True when the mark vanishes wherever default carries mass.
 
         The hazard- and dual-projection transformation rules under Q^phi are
@@ -60,18 +59,16 @@ class PhiControl:
         conditional-centering condition at the default node forces the mark
         off the default support on a finite space).
         """
-        if bundle is None:
-            bundle = projections(ext)
-        return bool(np.all(np.abs(self.phi_pr_nodes(ext) * bundle.dAo.values) <= tol))
+        marks = self.phi_pr_nodes(bundle.ext)
+        return bool(np.all(np.abs(marks * bundle.dAo.values) <= tol))
 
 
-def _default_step_weights(ext: ExtendedSpace, bundle: ProjectionBundle,
-                          phi_o: np.ndarray) -> np.ndarray:
+def _default_step_weights(bundle: ProjectionBundle, phi_o: np.ndarray) -> np.ndarray:
     """Per node, the relative one-step weight of the default branch under the
     market and phi_o density factors: p_edge * (Z/E(N~)) * (1 + phi_o (1 - dG~))
     * dA^o.  phi_pr must be centered against these within every sibling group."""
     dgt = bundle.dGammaTilde
-    return (ext.base.p_edge * bundle.market_factor * (1.0 + phi_o * (1.0 - dgt))
+    return (bundle.ext.base.p_edge * bundle.market_factor * (1.0 + phi_o * (1.0 - dgt))
             * bundle.dAo.values)
 
 
@@ -84,8 +81,7 @@ def _children_mean(tree: FiniteTree, w: np.ndarray, x: np.ndarray) -> np.ndarray
     return np.divide(num, tot, out=np.zeros_like(num), where=tot > 0)
 
 
-def phi_pr_from_marks(ext: ExtendedSpace, marks: np.ndarray,
-                      bundle: ProjectionBundle | None = None,
+def phi_pr_from_marks(bundle: ProjectionBundle, marks: np.ndarray,
                       phi_o=None) -> np.ndarray:
     """Turn raw per-node values into an admissible post-default mark.
 
@@ -95,11 +91,9 @@ def phi_pr_from_marks(ext: ExtendedSpace, marks: np.ndarray,
     Sibling groups carrying no default mass are left unconstrained (the mark
     is inert there).
     """
-    tree = ext.base
-    if bundle is None:
-        bundle = projections(ext)
+    tree = bundle.ext.base
     phi_o_v = np.zeros(tree.n_nodes) if phi_o is None else _vals(phi_o)
-    w = _default_step_weights(ext, bundle, phi_o_v)
+    w = _default_step_weights(bundle, phi_o_v)
     out = np.asarray(marks, dtype=float).copy()
     out[1:] -= _children_mean(tree, w, out)[tree.parent[1:]]
     lo = out.min(initial=0.0)
@@ -117,8 +111,7 @@ class PhiReport:
         return self.ok
 
 
-def validate_phi(phi: PhiControl, ext: ExtendedSpace,
-                 bundle: ProjectionBundle | None = None,
+def validate_phi(phi: PhiControl, bundle: ProjectionBundle,
                  tol: float = IDENTITY_TOL) -> PhiReport:
     """Check the admissibility inequalities atom-wise; report, never raise.
 
@@ -130,10 +123,9 @@ def validate_phi(phi: PhiControl, ext: ExtendedSpace,
     condition for the density to be a positive martingale); and
     phi^o <= cap - 1 when a cap is attached.
     """
+    ext = bundle.ext
     tree = ext.base
     n = tree.n_periods
-    if bundle is None:
-        bundle = projections(ext)
     dgt = bundle.dGammaTilde
     phi_o = _vals(phi.phi_o)
     phi_pr = phi.phi_pr_atoms(ext)
@@ -161,7 +153,7 @@ def validate_phi(phi: PhiControl, ext: ExtendedSpace,
         viol.append(f"phi^(o) dGamma~ < 1 violated at node {v} "
                     f"(survival factor {surv[v]:.6g})")
 
-    w = _default_step_weights(ext, bundle, phi_o)
+    w = _default_step_weights(bundle, phi_o)
     off = np.abs(_children_mean(tree, w, phi.phi_pr_nodes(ext)))
     bad_nodes = np.flatnonzero(off > tol)
     if bad_nodes.size:
@@ -189,8 +181,7 @@ class DensityBundle:
     qphi: np.ndarray                    # Q^phi atom probabilities
 
 
-def density_eta(phi: PhiControl, ext: ExtendedSpace,
-                bundle: ProjectionBundle | None = None,
+def density_eta(phi: PhiControl, bundle: ProjectionBundle,
                 tol: float = IDENTITY_TOL) -> DensityBundle:
     """Build eta^phi as the product of the three discrete exponentials.
 
@@ -200,11 +191,10 @@ def density_eta(phi: PhiControl, ext: ExtendedSpace,
     and E[eta_T] = 1; a failure raises ``IdentityError`` since it cannot come
     from admissible input.
     """
+    ext = bundle.ext
     tree = ext.base
     n = tree.n_periods
-    if bundle is None:
-        bundle = projections(ext)
-    rep = validate_phi(phi, ext, bundle, tol)
+    rep = validate_phi(phi, bundle, tol)
     if not rep.ok:
         raise AdmissibilityError("; ".join(rep.violations))
 
@@ -272,7 +262,7 @@ def hazard_under_phi(dens: DensityBundle, tilted: ProjectionBundle,
     """
     bundle = dens.reference
     tree = bundle.ext.base
-    if not dens.phi.is_graph_trivial(bundle.ext, bundle):
+    if not dens.phi.is_graph_trivial(bundle):
         raise AdmissibilityError(
             "hazard transformation rule needs a post-default mark that vanishes "
             "on the default support")
@@ -330,7 +320,7 @@ def compensated_default_residual(dens: DensityBundle) -> float:
     """
     bundle = dens.reference
     ext = bundle.ext
-    if not dens.phi.is_graph_trivial(ext, bundle):
+    if not dens.phi.is_graph_trivial(bundle):
         raise AdmissibilityError(
             "compensated-default check needs a graph-trivial post-default mark")
     lam = forward(ext.base, _d_lambda(dens), np.add, 0.0)

@@ -559,22 +559,20 @@ def _increments(tree: FiniteTree, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def jeulin_yor_transform(ext: ExtendedSpace, M: AdaptedProcess,
-                         bundle: ProjectionBundle | None = None,
+def jeulin_yor_transform(bundle: ProjectionBundle, M: AdaptedProcess,
                          tol: float = IDENTITY_TOL) -> np.ndarray:
     """Optional transform M^theta - G~^{-1} . [M, m]^theta, per atom and time.
 
     Input must be an (F, P)-martingale; the output is an exact martingale in
     the enlarged filtration, stopped at theta.
     """
+    ext = bundle.ext
     tree = ext.base
     mv = _vals(M)
     from .filtration import martingale_residual
     r = martingale_residual(tree, mv, "P")
     if r > tol:
         raise ValueError(f"input is not a P-martingale (residual {r:.3g})")
-    if bundle is None:
-        bundle = projections(ext)
 
     dM = _increments(tree, mv)
     dm = _increments(tree, bundle.m.values)
@@ -583,18 +581,16 @@ def jeulin_yor_transform(ext: ExtendedSpace, M: AdaptedProcess,
     return mv[ext.stopped_node] - cum[ext.stopped_node]
 
 
-def pre_default_transform(ext: ExtendedSpace, M: AdaptedProcess,
-                          bundle: ProjectionBundle | None = None,
+def pre_default_transform(bundle: ProjectionBundle, M: AdaptedProcess,
                           tol: float = IDENTITY_TOL) -> np.ndarray:
     """Strict pre-default transform M^{theta-} - G^{-1} . [M, n]^{theta-}."""
+    ext = bundle.ext
     tree = ext.base
     mv = _vals(M)
     from .filtration import martingale_residual
     r = martingale_residual(tree, mv, "P")
     if r > tol:
         raise ValueError(f"input is not a P-martingale (residual {r:.3g})")
-    if bundle is None:
-        bundle = projections(ext)
 
     dM = _increments(tree, mv)
     dn = _increments(tree, bundle.n.values)
@@ -679,7 +675,6 @@ def step_default_probs(bundle: ProjectionBundle, lam) -> np.ndarray:
 def full_price_assembly(bundle: ProjectionBundle, payoff,
                         sigma: StoppingTime | None = None, lam=1.0,
                         phi_pr: np.ndarray | None = None,
-                        reduced: AdaptedProcess | None = None,
                         tol: float = IDENTITY_TOL) -> AssemblyReport:
     """Assemble the full price: reduced value before theta, recovery from theta on.
 
@@ -694,7 +689,7 @@ def full_price_assembly(bundle: ProjectionBundle, payoff,
     right-support semantics.
     """
     from . import measure_change as mc
-    from .european import PayoffSpec, ReducedHazard, reduced_price_linear
+    from .european import ReducedHazard, reduced_price_linear
 
     ext = bundle.ext
     if bundle.weights is not ext.prob and not np.array_equal(bundle.weights, ext.prob):
@@ -704,21 +699,17 @@ def full_price_assembly(bundle: ProjectionBundle, payoff,
     n = tree.n_periods
     if sigma is None:
         sigma = StoppingTime.horizon(tree)
-    if not isinstance(payoff, PayoffSpec):
-        payoff = PayoffSpec(*payoff)
     pi = step_default_probs(bundle, lam)
     delta_eff = pi / (1.0 - pi)
-
-    if reduced is None:
-        hz = ReducedHazard(tree, delta_eff)
-        reduced = reduced_price_linear(1.0, payoff, hz, tree, sigma=sigma).value
+    hz = ReducedHazard(tree, delta_eff)
+    reduced = reduced_price_linear(1.0, payoff, hz, sigma).value
 
     lam_v = _vals(lam) if not np.isscalar(lam) else np.full(tree.n_nodes, float(lam))
     phi_o = np.zeros(tree.n_nodes)
     sl = slice(1, tree.n_nodes)
     phi_o[sl] = lam_v[tree.parent[sl]] - 1.0
     phi = mc.PhiControl(phi_o=AdaptedProcess(tree, phi_o), phi_pr=phi_pr)
-    dens = mc.density_eta(phi, ext, bundle=bundle)
+    dens = mc.density_eta(phi, bundle)
     qphi = dens.qphi
 
     sig_lvl = ext.sigma_levels(sigma)

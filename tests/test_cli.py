@@ -1,6 +1,7 @@
 """End-to-end tests of the ``vopt`` command line: exit codes and artifacts."""
 
 import copy
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -40,6 +41,27 @@ def test_report_has_no_backend_key_and_is_byte_stable(golden_run, tmp_path, caps
     assert "kernel_backend" not in json.loads(first)
     assert main(["run", str(PACKAGED), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "report.json").read_bytes() == first
+
+
+# SHA-256 of the packaged scenario's value, strategy and bundle tables.  Each
+# is built from elementwise arithmetic, bincount, reduceat, cumsum and cumprod
+# only (no BLAS, no transcendental function), printed with '%.17g'.
+GOLDEN_SHA256 = {
+    "values_constrained_snell.csv":
+        "3797f9a7753ca215c15f0d0cab0004c401885c8f82f02eb81d83583df881099a",
+    "values_american_upper.csv":
+        "e11e0589f3bbbf2ac8e762a90bf7b6067d1459b0d33097c1b2dcaff9c905c6fd",
+    "values_game.csv": "49f6a8dc7986228f33541f129875168a05e61e911361acf09467bf7958abc030",
+    "strategies_game.csv": "217a19878a0f13fc25fd76f76d0d6a464086a73335142aa26c3305388d77ecca",
+    "bundle.csv": "9279455c348d05d80da96faee0c69b510393e69c86027278dcf4195bbdf5aa2a",
+}
+
+
+def test_golden_tables_are_byte_stable(golden_run):
+    _, out = golden_run
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
 
 
 def _set(path, value):

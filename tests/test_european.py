@@ -33,7 +33,7 @@ def test_linear_no_hazard_is_plain_european():
     tree = random_tree(rng)
     pay = random_payoff(rng, tree)
     hz = ReducedHazard(tree, np.zeros(tree.n_nodes))
-    rep = reduced_price_linear(1.3, pay, hz, tree)
+    rep = reduced_price_linear(1.3, pay, hz)
     assert np.max(np.abs(rep.value.values - plain_price(tree, pay))) <= TOL
 
 
@@ -43,20 +43,20 @@ def test_linear_fixed_point_constant_payoffs():
     pay = PayoffSpec(AdaptedProcess.constant(tree, 0.8), AdaptedProcess.constant(tree, 0.8))
     hz = random_delta_hazard(rng, tree)
     for lam in (0.1, 1.0, 7.5):
-        rep = reduced_price_linear(lam, pay, hz, tree)
+        rep = reduced_price_linear(lam, pay, hz)
         assert np.max(np.abs(rep.value.values - 0.8)) <= TOL
 
 
 def test_linear_one_period_hand_value():
     tree, pay, hz = one_period_instance()
-    rep = reduced_price_linear(2.0, pay, hz, tree)
+    rep = reduced_price_linear(2.0, pay, hz)
     assert rep.value.values[0] == pytest.approx(1.5, abs=TOL)  # (1 + 2*0.5*2)/(1+1)
 
 
 def test_linear_rejects_bad_inputs():
     tree, pay, hz = one_period_instance()
     with pytest.raises(ValueError, match="positive"):
-        reduced_price_linear(0.0, pay, hz, tree)
+        reduced_price_linear(0.0, pay, hz)
     with pytest.raises(HazardError):
         ReducedHazard(tree, np.array([-0.1, 0.0, 0.0]))
 
@@ -67,7 +67,7 @@ def test_value_bounded_by_payoffs():
         tree = random_tree(rng)
         pay = random_payoff(rng, tree)
         hz = random_delta_hazard(rng, tree)
-        rep = reduced_price_linear(2.0, pay, hz, tree)
+        rep = reduced_price_linear(2.0, pay, hz)
         assert rep.value.values.max() <= pay.bound() + TOL
         assert rep.value.values.min() >= -TOL
 
@@ -98,7 +98,7 @@ def test_closed_form_equals_linear_everywhere():
         pay = random_payoff(rng, tree)
         hz = random_delta_hazard(rng, tree)
         lam = AdaptedProcess(tree, rng.uniform(0.2, 3.0, tree.n_nodes))
-        reduced_price_closed_form(lam, pay, hz, tree)  # internal 1e-12 assert
+        reduced_price_closed_form(lam, pay, hz)  # internal 1e-12 assert
 
 
 
@@ -111,8 +111,8 @@ def test_closed_form_stops_at_sigma(seed):
     pay = random_payoff(rng, tree)
     hz = random_delta_hazard(rng, tree)
     sigma = StoppingTime(tree, hz.support_mask())
-    closed = reduced_price_closed_form(1.0, pay, hz, tree, sigma=sigma)  # internal assert
-    lin = reduced_price_linear(1.0, pay, hz, tree, sigma=sigma)
+    closed = reduced_price_closed_form(1.0, pay, hz, sigma=sigma)  # internal assert
+    lin = reduced_price_linear(1.0, pay, hz, sigma=sigma)
     assert np.max(np.abs(closed.value.values - lin.value.values)) <= TOL
     # at the first stop node of each path the value is the payoff there
     first = sigma.stop_nodes_per_path()
@@ -120,9 +120,9 @@ def test_closed_form_stops_at_sigma(seed):
 
 def test_closed_form_limits():
     tree, pay, hz = one_period_instance()
-    tiny = reduced_price_closed_form(1e-9, pay, hz, tree)
+    tiny = reduced_price_closed_form(1e-9, pay, hz)
     assert tiny.value.values[0] == pytest.approx(1.0, abs=1e-8)   # -> E_Q[P_T]
-    big = reduced_price_closed_form(1e7, pay, hz, tree)
+    big = reduced_price_closed_form(1e7, pay, hz)
     assert big.value.values[0] == pytest.approx(2.0, abs=1e-6)    # -> R_0
 
 
@@ -131,9 +131,9 @@ def test_closed_form_limits():
 def test_penalized_one_period_values():
     tree, pay, hz = one_period_instance()
     for n, expect in [(1, (1 + 0.5 * 1 * 2) / 1.5), (4, (1 + 0.5 * 4 * 2) / 3.0)]:
-        rep = penalized_european(n, pay, hz, tree)
+        rep = penalized_european(n, pay, hz)
         assert rep.value.values[0] == pytest.approx(expect, abs=TOL)
-    assert penalized_european(2 ** 22, pay, hz, tree).value.values[0] == \
+    assert penalized_european(2 ** 22, pay, hz).value.values[0] == \
         pytest.approx(2.0, abs=1e-5)
 
 
@@ -145,7 +145,7 @@ def test_penalized_inactive_when_reward_below_price():
     pay = PayoffSpec(AdaptedProcess(tree, pv), AdaptedProcess.constant(tree, 1.0))
     hz = random_delta_hazard(rng, tree)
     for n in (1, 16, 1024):
-        rep = penalized_european(n, pay, hz, tree)
+        rep = penalized_european(n, pay, hz)
         assert np.max(np.abs(rep.value.values - pv)) <= TOL
 
 
@@ -157,7 +157,7 @@ def test_penalized_monotone_in_n():
         hz = random_delta_hazard(rng, tree)
         prev = None
         for n in [1, 2, 4, 8, 32, 128, 1024]:
-            val = penalized_european(n, pay, hz, tree).value.values
+            val = penalized_european(n, pay, hz).value.values
             if prev is not None:
                 assert np.all(val >= prev - TOL)
             prev = val
@@ -170,13 +170,13 @@ def test_constrained_snell_no_support_is_plain():
     tree = random_tree(rng)
     pay = random_payoff(rng, tree)
     hz = ReducedHazard(tree, np.zeros(tree.n_nodes))
-    rep = constrained_snell(pay, hz, tree)
+    rep = constrained_snell(pay, hz)
     assert np.max(np.abs(rep.value.values - plain_price(tree, pay))) <= TOL
 
 
 def test_constrained_snell_one_period():
     tree, pay, hz = one_period_instance()
-    rep = constrained_snell(pay, hz, tree)
+    rep = constrained_snell(pay, hz)
     assert rep.value.values[0] == pytest.approx(2.0, abs=TOL)  # max(R_0, E[P_T])
     assert rep.tau_star.stop[0]
 
@@ -187,7 +187,7 @@ def test_constrained_snell_equals_enumeration():
         tree = random_tree(rng, max_periods=4, max_branching=2)
         pay = random_payoff(rng, tree)
         hz = random_delta_hazard(rng, tree)
-        rep = constrained_snell(pay, hz, tree)
+        rep = constrained_snell(pay, hz)
         reward = pay.R.values.copy()
         term = tree.level_slice(tree.n_periods)
         reward[term] = pay.P.values[term]
@@ -201,9 +201,9 @@ def test_duality_penalized_converges_to_constrained_snell():
         tree = random_tree(rng)
         pay = random_payoff(rng, tree)
         hz = random_delta_hazard(rng, tree)
-        snell = constrained_snell(pay, hz, tree).value.values
+        snell = constrained_snell(pay, hz).value.values
         gaps = [float(np.max(np.abs(
-            penalized_european(2 ** k, pay, hz, tree).value.values - snell)))
+            penalized_european(2 ** k, pay, hz).value.values - snell)))
             for k in range(0, 21, 4)]
         assert all(b <= a + TOL for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-5
@@ -218,15 +218,15 @@ def test_sup_over_phi_equals_penalized():
         pay = random_payoff(rng, tree)
         hz = random_delta_hazard(rng, tree)
         for n in (1, 4, 16):
-            sup = sup_over_phi(n, pay, hz, tree)
-            pen = penalized_european(n, pay, hz, tree)
+            sup = sup_over_phi(n, pay, hz)
+            pen = penalized_european(n, pay, hz)
             assert np.max(np.abs(sup.value.values - pen.value.values)) <= TOL
 
 
 def test_sup_over_phi_grid_mode():
     tree, pay, hz = one_period_instance()
-    closed = sup_over_phi(4, pay, hz, tree, mode="closed_form")
-    grid = sup_over_phi(4, pay, hz, tree, mode="grid")
+    closed = sup_over_phi(4, pay, hz, mode="closed_form")
+    grid = sup_over_phi(4, pay, hz, mode="grid")
     assert closed.value.values[0] == pytest.approx(5 / 3, abs=TOL)
     assert closed.lambda_star[0] == pytest.approx(4.0)
     assert abs(grid.value.values[0] - closed.value.values[0]) <= 1e-6
@@ -238,7 +238,7 @@ def test_sup_attained_at_vanishing_tilt_when_r_small():
     pv = backward(tree, np.full(tree.leaves.size, 3.0))
     pay = PayoffSpec(AdaptedProcess(tree, pv), AdaptedProcess.constant(tree, 0.5))
     hz = random_delta_hazard(rng, tree)
-    sup = sup_over_phi(8, pay, hz, tree)
+    sup = sup_over_phi(8, pay, hz)
     assert np.max(np.abs(sup.value.values - pv)) <= TOL
 
 
@@ -251,11 +251,11 @@ def test_comparison_in_recovery():
     hz = random_delta_hazard(rng, tree)
     bumped = PayoffSpec(pay.P, AdaptedProcess(tree, pay.R.values + 0.25))
     for n in (1, 64):
-        lo = penalized_european(n, pay, hz, tree).value.values
-        hi = penalized_european(n, bumped, hz, tree).value.values
+        lo = penalized_european(n, pay, hz).value.values
+        hi = penalized_european(n, bumped, hz).value.values
         assert np.all(hi >= lo - TOL)
-    assert np.all(constrained_snell(bumped, hz, tree).value.values
-                  >= constrained_snell(pay, hz, tree).value.values - TOL)
+    assert np.all(constrained_snell(bumped, hz).value.values
+                  >= constrained_snell(pay, hz).value.values - TOL)
 
 
 def test_off_support_recovery_is_ignored():
@@ -267,10 +267,10 @@ def test_off_support_recovery_is_ignored():
     r2 = pay.R.values.copy()
     r2[off] += 17.0
     pay2 = PayoffSpec(pay.P, AdaptedProcess(tree, r2))
-    assert np.max(np.abs(constrained_snell(pay, hz, tree).value.values
-                         - constrained_snell(pay2, hz, tree).value.values)) <= TOL
-    assert np.max(np.abs(penalized_european(32, pay, hz, tree).value.values
-                         - penalized_european(32, pay2, hz, tree).value.values)) <= TOL
+    assert np.max(np.abs(constrained_snell(pay, hz).value.values
+                         - constrained_snell(pay2, hz).value.values)) <= TOL
+    assert np.max(np.abs(penalized_european(32, pay, hz).value.values
+                         - penalized_european(32, pay2, hz).value.values)) <= TOL
 
 
 # -- dirac convergence -------------------------------------------------------------------------
@@ -278,19 +278,48 @@ def test_off_support_recovery_is_ignored():
 def test_dirac_exact_at_horizon():
     tree, pay, hz = one_period_instance()
     nu = StoppingTime.horizon(tree)
-    table = dirac_convergence_check(pay, hz, tree, nu)
+    table = dirac_convergence_check(pay, hz, nu)
     assert max(table.gaps) <= TOL
 
 
 def test_dirac_one_period_geometric_gap():
     tree, pay, hz = one_period_instance()
     nu = StoppingTime(tree, np.ones(tree.n_nodes, dtype=bool))
-    table = dirac_convergence_check(pay, hz, tree, nu)
+    table = dirac_convergence_check(pay, hz, nu)
     # |E - R| / (1 + 0.5 n), explicit geometric decay
     for n, gap in zip(table.levels, table.gaps):
         assert gap == pytest.approx(1.0 / (1.0 + 0.5 * n), abs=TOL)
-    assert table.strictly_decreasing
+    assert all(b < a for a, b in zip(table.gaps, table.gaps[1:]))
+    # |E - R| = 1 = B / 2: each gap is half its bound, the last rung closest
+    assert table.rate_excess == pytest.approx(-1.0 / 8193.0, abs=TOL)
     assert table.gaps[-1] == pytest.approx(1.0 / 8193.0, abs=TOL)
+
+
+def sign_change_instance():
+    """Binary N = 2: delta 1 at the root and 0.3 at time 1, R_0 = 1, R = 2 at
+    time 1, P_T = 0.  At the root gap_n = (0.3 n - 1) / ((1 + 0.3 n)(1 + n)):
+    negative below n = 10/3, positive above, and growing from n = 4 to 8."""
+    tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
+    pay = PayoffSpec(AdaptedProcess.constant(tree, 0.0),
+                     AdaptedProcess(tree, [1.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]))
+    hz = ReducedHazard(tree, np.array([1.0, 0.3, 0.3, 0.0, 0.0, 0.0, 0.0]))
+    return tree, pay, hz
+
+
+def test_dirac_gap_changes_sign_inside_the_rate_bound():
+    tree, pay, hz = sign_change_instance()
+    nu = StoppingTime(tree, hz.support_mask())       # stops at the root
+    table = dirac_convergence_check(pay, hz, nu)
+    signed = [reduced_price_linear(float(n), pay, hz).value.values[0] - 1.0
+              for n in table.levels]
+    for n, gap, s in zip(table.levels, table.gaps, signed):
+        assert s == pytest.approx((0.3 * n - 1.0) / ((1.0 + 0.3 * n) * (1.0 + n)), abs=TOL)
+        assert gap == abs(s)
+        assert gap <= pay.bound() / (1.0 + n)
+    assert signed[1] < 0.0 < signed[2]                # n = 2 -> 4
+    assert table.gaps[3] > table.gaps[2]              # n = 4 -> 8: not monotone
+    assert table.rate_excess <= 0.0
+    assert table.gaps[-1] <= 1e-4
 
 
 def test_dirac_rejects_off_support_stop():
@@ -301,7 +330,7 @@ def test_dirac_rejects_off_support_stop():
     hz = ReducedHazard(tree, delta)
     nu = StoppingTime(tree, np.ones(tree.n_nodes, dtype=bool))  # stops at the root
     with pytest.raises(ValueError, match="support"):
-        dirac_convergence_check(pay, hz, tree, nu)
+        dirac_convergence_check(pay, hz, nu)
 
 
 def test_hazard_budget_clipped_with_warning():

@@ -272,8 +272,8 @@ def test_closed_form_equals_linear_under_random_sigma(seed, p_stop, scalar_lam):
     stop = rng.random(tree.n_nodes) < p_stop
     stop[tree.leaves] = True
     sigma = StoppingTime(tree, stop)
-    closed = reduced_price_closed_form(lam, pay, hz, tree, sigma)   # asserts 1e-12 inside
-    lin = reduced_price_linear(lam, pay, hz, tree, sigma)
+    closed = reduced_price_closed_form(lam, pay, hz, sigma)   # asserts 1e-12 inside
+    lin = reduced_price_linear(lam, pay, hz, sigma)
     assert np.max(np.abs(closed.value.values - lin.value.values)) <= TOL
     assert np.max(np.abs(closed.value.values
                          - pathwise_price(lam_v, pay, hz, tree, stop))) <= TOL

@@ -306,7 +306,7 @@ def test_transform_trivial_for_independent_time():
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.4))
     b = projections(ext)
     m = _p_martingale(rng, tree)
-    out = jeulin_yor_transform(ext, m, b)
+    out = jeulin_yor_transform(b, m)
     n = tree.n_periods
     stop_idx = np.minimum(ext.theta[:, None], np.arange(n + 1)[None, :])
     stopped = m.values[np.take_along_axis(ext.node_at, stop_idx, axis=1)]
@@ -317,9 +317,9 @@ def test_transform_constant_input():
     rng = np.random.default_rng(16)
     tree = random_tree(rng)
     ext = random_extension(rng, tree)
-    out = jeulin_yor_transform(ext, AdaptedProcess.constant(tree, 3.0))
+    out = jeulin_yor_transform(projections(ext), AdaptedProcess.constant(tree, 3.0))
     assert np.max(np.abs(out - 3.0)) <= TOL
-    out = pre_default_transform(ext, AdaptedProcess.constant(tree, 3.0))
+    out = pre_default_transform(projections(ext), AdaptedProcess.constant(tree, 3.0))
     assert np.max(np.abs(out - 3.0)) <= TOL
 
 
@@ -330,14 +330,14 @@ def test_transforms_are_martingales_on_correlated_instances():
         ext = random_extension(rng, tree)
         b = projections(ext)
         m = _p_martingale(rng, tree)
-        jy = jeulin_yor_transform(ext, m, b)
+        jy = jeulin_yor_transform(b, m)
         assert ext.g_martingale_residual(jy) <= TOL
         # constant after theta
         n = tree.n_periods
         for a in range(ext.n_atoms):
             th = min(ext.theta[a], n)
             assert np.max(np.abs(jy[a, th:] - jy[a, th])) <= TOL
-        pd = pre_default_transform(ext, m, b)
+        pd = pre_default_transform(b, m)
         assert ext.g_martingale_residual(pd) <= TOL
 
 
@@ -347,7 +347,7 @@ def test_transform_rejects_non_martingale():
     ext = random_extension(rng, tree)
     bad = AdaptedProcess(tree, rng.uniform(0, 1, tree.n_nodes))
     with pytest.raises(ValueError, match="martingale"):
-        jeulin_yor_transform(ext, bad)
+        jeulin_yor_transform(projections(ext), bad)
 
 
 
@@ -357,7 +357,7 @@ def test_g_martingale_residual_propagates_nan():
     ext = random_extension(rng, tree)
     M = AdaptedProcess(tree, backward(tree, rng.uniform(-1.0, 2.0, tree.leaves.size),
                                       measure="P"))
-    x = jeulin_yor_transform(ext, M)
+    x = jeulin_yor_transform(projections(ext), M)
     assert ext.g_martingale_residual(x) <= TOL
     x[-1, -1] = np.nan
     assert np.isnan(ext.g_martingale_residual(x))
@@ -447,5 +447,5 @@ def test_assembly_consistent_with_reduced_module():
     pay = random_payoff(rng, tree)
     rep = full_price_assembly(projections(ext), pay, lam=1.5)
     hz = ReducedHazard(tree, rep.delta_effective)
-    again = reduced_price_linear(1.0, pay, hz, tree)
+    again = reduced_price_linear(1.0, pay, hz)
     assert np.max(np.abs(again.value.values - rep.reduced.values)) <= TOL

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vopt
-from vopt import cli, filtration, instances, random_time, scenario, suites
+from vopt import cli, european, filtration, instances, random_time, scenario, suites
 from vopt.filtration import AdaptedProcess
 from vopt.random_time import projections
 from vopt.scenario import parse_scenario, scenario_from_dict
@@ -171,3 +171,36 @@ def test_measure_change_catches_a_mark_that_moves_pre_default_values(monkeypatch
     assert "error" not in res.details
     assert len(residuals) == 3 and max(residuals) <= res.tolerance
     assert not res.passed and res.max_residual > 1e3 * res.tolerance
+
+
+SIGN_CHANGE = {
+    # binary N = 2, nu stops at the root: its gap (0.3 n - 1) / ((1 + 0.3 n)(1 + n))
+    # changes sign between n = 2 and 4 and grows from n = 4 to 8
+    "tree": {"times": [0, 1, 2], "branching": 2, "p": "uniform"},
+    "hazard": {"delta": {"by_level": [[1.0], [0.3, 0.3], [0.0] * 4]}},
+    "payoff": {"P": 0.0, "R": {"by_level": [[1.0], [2.0, 2.0], [0.0] * 4]}},
+    "suites": ["dirac-convergence"],
+}
+
+
+def test_dirac_suite_passes_a_gap_that_changes_sign():
+    res = suites.suite_dirac_convergence(scenario_from_dict(SIGN_CHANGE))
+    gaps = res.details["trace"]["gaps"]
+    assert gaps[3] > gaps[2]          # n = 4 -> 8: |gap| does not shrink at every rung
+    assert res.details["rate_excess"] <= 0.0
+    assert res.passed
+
+
+@pytest.mark.parametrize("raw", [SIGN_CHANGE, None], ids=["sign-change", "packaged"])
+def test_dirac_suite_fails_a_solve_that_drops_the_recovery(monkeypatch, raw):
+    sc = parse_scenario(str(PACKAGED)) if raw is None else scenario_from_dict(raw)
+    assert suites.suite_dirac_convergence(sc).passed
+    real = european._implicit_step
+
+    def no_recovery(kind, e, r, a):
+        return e / (1.0 + a) if kind == "linear" else real(kind, e, r, a)
+
+    monkeypatch.setattr(european, "_implicit_step", no_recovery)
+    res = suites.suite_dirac_convergence(sc)
+    assert res.details["rate_excess"] > sc.tolerances["identity"]
+    assert not res.passed
