@@ -14,10 +14,9 @@ import numpy as np
 
 from .errors import EnumerationCapError, HazardError, IdentityError, TreeError
 from .filtration import (DEFAULT_ENUM_CAP, AdaptedProcess, StoppingTime,
-                         _enumerate_stop_nodes, _vals, backward, forward, shared_tree,
+                         _enumerate_stop_nodes, backward, forward, node_values, shared_tree,
                          snell_envelope)
-from .european import (EuroSolveReport, PayoffSpec, ReducedHazard, _implicit_step,
-                       _martingale_increments)
+from .european import EuroSolveReport, PayoffSpec, ReducedHazard, _implicit_step
 
 
 @dataclass
@@ -28,7 +27,6 @@ class ReflectedSolveReport:
     value: AdaptedProcess
     K_increments: np.ndarray = field(repr=False)
     skorokhod_residuals: np.ndarray = field(repr=False)
-    martingale_increments: np.ndarray = field(repr=False, default=None)
 
     def max_skorokhod_residual(self) -> float:
         return float(np.max(np.abs(self.skorokhod_residuals)))
@@ -63,15 +61,13 @@ def reflected_gbsde_solve(generator: str, coeff, payoff: PayoffSpec,
     if obstacle is None:
         obstacle = payoff.P
     obs = obstacle.values
-    coeff_v = np.full(tree.n_nodes, float(coeff)) if np.isscalar(coeff) else _vals(coeff)
+    coeff_v = node_values(tree, coeff, "coefficient")
     if generator in ("linear",) and np.any(coeff_v <= 0.0):
         raise ValueError("lambda must be strictly positive")
 
     dk = np.zeros(tree.n_nodes)
-    cont = np.zeros(tree.n_nodes)
 
     def step(sl, e):
-        cont[sl] = e
         y = _implicit_step(generator, e, payoff.R.values[sl], coeff_v[sl] * hz.delta[sl])
         val = np.maximum(obs[sl], y)
         dk[sl] = val - y
@@ -79,8 +75,7 @@ def reflected_gbsde_solve(generator: str, coeff, payoff: PayoffSpec,
 
     v = backward(tree, payoff.P.values, step)
     resid = (v - obs) * dk
-    return ReflectedSolveReport(AdaptedProcess(tree, v), dk, resid,
-                                _martingale_increments(tree, v, cont))
+    return ReflectedSolveReport(AdaptedProcess(tree, v), dk, resid)
 
 
 def penalized_american_upper(n: float, payoff: PayoffSpec, hz: ReducedHazard
@@ -160,7 +155,7 @@ def modified_payoff(payoff: PayoffSpec, hz: ReducedHazard) -> AdaptedProcess:
 def american_upper_price(payoff: PayoffSpec, hz: ReducedHazard) -> EuroSolveReport:
     """Snell envelope (all stopping times) of the modified payoff zeta^u."""
     value, tau = snell_envelope(modified_payoff(payoff, hz), "Q")
-    return EuroSolveReport(value, np.zeros(value.tree.n_nodes), tau_star=tau)
+    return EuroSolveReport(value, tau_star=tau)
 
 
 def constrained_dynkin_game(payoff: PayoffSpec, hz: ReducedHazard) -> GameValueReport:

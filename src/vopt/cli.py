@@ -2,6 +2,7 @@
 
     vopt run <scenario.json> [--out DIR]
     vopt sweep <scenario.json> --param delta_scale --values 0.5 1 2 [--out DIR]
+    vopt sweep <scenario.json> --param penalty_top --values 16 1024 [--out DIR]
     vopt oracle <scenario.json> [--out DIR]
 
 Exit code 0 iff every selected suite's residual is within its tolerance,
@@ -12,15 +13,15 @@ Exit code 0 iff every selected suite's residual is within its tolerance,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from . import reports
-from .american import american_upper_price, constrained_dynkin_game
 from .errors import ScenarioError, TreeError
-from .european import constrained_snell, penalized_european
+from .european import ReducedHazard, penalized_european
 from .scenario import Scenario, parse_scenario
 from .suites import RunReport, run_suites
 
@@ -29,15 +30,12 @@ def _emit_run_artifacts(sc: Scenario, report: RunReport, out_dir: str) -> None:
     reports.write_text(os.path.join(out_dir, "report.json"),
                        reports.to_json(report.to_dict()) + "\n")
     reports.write_text(os.path.join(out_dir, "bundle.csv"), reports.bundle_csv(sc.bundle))
-
-    snell = constrained_snell(sc.payoff, sc.hazard_delta)
     reports.write_text(os.path.join(out_dir, "values_constrained_snell.csv"),
-                       reports.process_csv(snell.value, "constrained_snell"))
-    upper = american_upper_price(sc.payoff, sc.hazard_delta)
+                       reports.process_csv(sc.snell.value, "constrained_snell"))
     reports.write_text(os.path.join(out_dir, "values_american_upper.csv"),
-                       reports.process_csv(upper.value, "american_upper"))
+                       reports.process_csv(sc.upper.value, "american_upper"))
     try:
-        game = constrained_dynkin_game(sc.payoff, sc.hazard_delta)
+        game = sc.game
         reports.write_text(os.path.join(out_dir, "values_game.csv"),
                            reports.process_csv(game.value, "game_value"))
         reports.write_text(os.path.join(out_dir, "strategies_game.csv"),
@@ -85,12 +83,11 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in args.values:
         mod = _scaled_scenario(sc, args.param, value)
-        snell = constrained_snell(mod.payoff, mod.hazard_delta)
-        top = mod.penalty_ladder[-1]
-        pen = penalized_european(top, mod.payoff, mod.hazard_delta)
-        gap = float(np.max(np.abs(snell.value.values - pen.value.values)))
+        snell = mod.snell.value.values
+        pen = penalized_european(mod.penalty_ladder[-1], mod.payoff, mod.hazard_delta)
+        gap = float(np.max(np.abs(snell - pen.value.values)))
         rows.append({"param": args.param, "value": float(value),
-                     "root_value": float(snell.value.values[0]),
+                     "root_value": float(snell[0]),
                      "duality_gap_at_top": gap})
     reports.write_text(os.path.join(out_dir, "sweep.json"),
                        reports.to_json({"sweep": rows}) + "\n")
@@ -106,17 +103,15 @@ def cmd_sweep(args) -> int:
 
 
 def _scaled_scenario(sc: Scenario, param: str, value: float) -> Scenario:
-    import copy
-    from .european import ReducedHazard
-    mod = copy.copy(sc)
+    """A new scenario with one input changed; its cached solves start empty."""
     if param == "delta_scale":
-        mod.hazard_delta = ReducedHazard(sc.tree, sc.hazard_delta.delta * value)
-    elif param == "penalty_top":
-        mod.penalty_ladder = [n for n in sc.penalty_ladder if n <= value] or [int(value)]
-    else:
-        raise ScenarioError(f"unknown sweep parameter {param!r} "
-                            "(use delta_scale or penalty_top)")
-    return mod
+        return dataclasses.replace(
+            sc, hazard_delta=ReducedHazard(sc.tree, sc.hazard_delta.delta * value))
+    if param == "penalty_top":
+        return dataclasses.replace(
+            sc, penalty_ladder=[n for n in sc.penalty_ladder if n <= value] or [int(value)])
+    raise ScenarioError(f"unknown sweep parameter {param!r} "
+                        "(use delta_scale or penalty_top)")
 
 
 def cmd_oracle(args) -> int:

@@ -7,7 +7,8 @@ unconditionally stable in the penalty level and solves the linear generator
 lambda (R - y) d(hazard) in closed form.  The matching "discount" is the
 resolvent product 1 / prod(1 + a), so the closed-form route telescopes
 exactly against the recursion.  Every solver reads its tree from its inputs
-(payoff, hazard, stopping times), which must all live on the same tree.
+(payoff, hazard, stopping times, coefficient processes), which must all live
+on the same tree.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HazardError, IdentityError, TreeError
-from .filtration import (AdaptedProcess, FiniteTree, StoppingTime, _vals, backward,
-                         forward, shared_tree, snell_envelope)
+from .filtration import (AdaptedProcess, FiniteTree, StoppingTime, backward, forward,
+                         node_values, shared_tree, snell_envelope)
 
 DELTA_BUDGET_CAP = 1e3
-GRID_POINTS = 64            # tilts scanned by ``sup_over_phi(mode="grid")``
 
 
 @dataclass
@@ -54,10 +54,6 @@ class ReducedHazard:
             scale = DELTA_BUDGET_CAP / float(np.max(totals))
             d = d * scale
         self.delta = d
-
-    @classmethod
-    def constant(cls, tree: FiniteTree, delta: float) -> "ReducedHazard":
-        return cls(tree, np.full(tree.n_nodes, float(delta)))
 
     def support_mask(self) -> np.ndarray:
         """Nodes where stopping is enabled: delta > 0 before T, everything at T."""
@@ -99,19 +95,17 @@ class PayoffSpec:
 
 @dataclass
 class EuroSolveReport:
-    """Value process plus the martingale integrand of the backward solve."""
+    """Value process of a European solve; ``lambda_star`` is the per-node
+    maximizing tilt of :func:`sup_over_phi` and ``tau_star`` the optimal
+    stopping time of a Snell-envelope solve."""
 
     value: AdaptedProcess
-    martingale_increments: np.ndarray = field(repr=False)
-    trace: dict | None = None
     lambda_star: np.ndarray | None = field(repr=False, default=None)
     tau_star: StoppingTime | None = None
 
 
 def _lambda_values(tree: FiniteTree, lam) -> np.ndarray:
-    v = np.full(tree.n_nodes, float(lam)) if np.isscalar(lam) else _vals(lam).copy()
-    if v.shape != (tree.n_nodes,):
-        raise TreeError("lambda needs one value per node (or a scalar)")
+    v = node_values(tree, lam, "lambda")
     if np.any(v <= 0.0):
         raise ValueError("lambda must be strictly positive")
     return v
@@ -124,15 +118,6 @@ def _stop_masks(sigma: StoppingTime):
     anchor = forward(sigma.tree, np.arange(sigma.tree.n_nodes),
                      lambda up, own: np.where(stops[up], up, own), 0)
     return stops, anchor
-
-
-def _martingale_increments(tree: FiniteTree, value: np.ndarray, cont: np.ndarray
-                           ) -> np.ndarray:
-    """value - E[value | parent]: the martingale integrand of a backward solve."""
-    zinc = np.zeros(tree.n_nodes)
-    sl = slice(1, tree.n_nodes)
-    zinc[sl] = value[sl] - cont[tree.parent[sl]]
-    return zinc
 
 
 def _implicit_step(kind: str, e: np.ndarray, r: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -163,22 +148,17 @@ def _implicit_backward(payoff: PayoffSpec, hz: ReducedHazard, step_fn,
 
     ``step_fn(e, r, d, sl)`` returns the pre-exercise value at the level-k
     nodes from continuation e, recovery r and step hazard d, through
-    :func:`_implicit_step`.  Returns the sigma-stopped value process and
-    per-node martingale increments.
+    :func:`_implicit_step`.  Returns the node values of the solve stopped
+    at sigma: at and below a stop node, P at the first stop node of the path.
     """
     tree = payoff.tree
     stops, anchor = _stop_masks(sigma or StoppingTime.horizon(tree))
     pv, rv, delta = payoff.P.values, payoff.R.values, hz.delta
-    cont = np.zeros(tree.n_nodes)
 
     def step(sl, e):
-        cont[sl] = e
         return np.where(stops[sl], pv[sl], step_fn(e, rv[sl], delta[sl], sl))
 
-    v = backward(tree, pv, step)
-    zinc = _martingale_increments(tree, v, cont)
-    zinc[anchor != np.arange(tree.n_nodes)] = 0.0
-    return v[anchor], zinc
+    return backward(tree, pv, step)[anchor]
 
 
 def reduced_price_linear(lam, payoff: PayoffSpec, hz: ReducedHazard,
@@ -194,8 +174,7 @@ def reduced_price_linear(lam, payoff: PayoffSpec, hz: ReducedHazard,
     def step(e, r, d, sl):
         return _implicit_step("linear", e, r, lam_v[sl] * d)
 
-    v, z = _implicit_backward(payoff, hz, step, sigma)
-    return EuroSolveReport(AdaptedProcess(tree, v), z)
+    return EuroSolveReport(AdaptedProcess(tree, _implicit_backward(payoff, hz, step, sigma)))
 
 
 def reduced_price_closed_form(lam, payoff: PayoffSpec, hz: ReducedHazard,
@@ -240,7 +219,7 @@ def reduced_price_closed_form(lam, payoff: PayoffSpec, hz: ReducedHazard,
     err = float(np.max(np.abs(lin.value.values - v)))
     if err > 1e-12:
         raise IdentityError(f"closed-form and recursion routes disagree by {err:.3g}")
-    return EuroSolveReport(AdaptedProcess(tree, v), lin.martingale_increments)
+    return EuroSolveReport(AdaptedProcess(tree, v))
 
 
 def penalized_european(n: float, payoff: PayoffSpec, hz: ReducedHazard
@@ -253,8 +232,7 @@ def penalized_european(n: float, payoff: PayoffSpec, hz: ReducedHazard
     def step(e, r, d, sl):
         return _implicit_step("penalty_up", e, r, n * d)
 
-    v, z = _implicit_backward(payoff, hz, step, None)
-    return EuroSolveReport(AdaptedProcess(tree, v), z)
+    return EuroSolveReport(AdaptedProcess(tree, _implicit_backward(payoff, hz, step, None)))
 
 
 def constrained_snell(payoff: PayoffSpec, hz: ReducedHazard) -> EuroSolveReport:
@@ -267,37 +245,30 @@ def constrained_snell(payoff: PayoffSpec, hz: ReducedHazard) -> EuroSolveReport:
     tree = shared_tree(payoff, hz)
     reward = AdaptedProcess(tree, payoff.stop_reward())
     value, tau = snell_envelope(reward, "Q", hz.support_mask())
-    return EuroSolveReport(value, np.zeros(tree.n_nodes), tau_star=tau)
+    return EuroSolveReport(value, tau_star=tau)
 
 
-def sup_over_phi(n: float, payoff: PayoffSpec, hz: ReducedHazard,
-                 mode: str = "closed_form") -> EuroSolveReport:
+def sup_over_phi(n: float, payoff: PayoffSpec, hz: ReducedHazard) -> EuroSolveReport:
     """Per-node supremum of the linear solve over tilts lambda in (0, n].
 
-    closed_form uses the per-node maximizer (the step is monotone in lambda
-    with the sign of R - E, so the argmax is n when R exceeds the
-    continuation and the infimal-lambda limit otherwise); grid scans a
-    geometric grid of ``GRID_POINTS`` tilts.  The closed form coincides with
-    the penalized scheme at level n, node for node.
+    The linear step (e + a r) / (1 + a), a = lambda delta, is monotone in
+    lambda, so its supremum sits at an end of the range: the step at
+    lambda = n, or its lambda -> 0 limit, the continuation e.  Each node
+    takes the larger, and ``lambda_star`` records the end that wins (n, or 0
+    for the limit).  The result is built from the linear step alone, yet
+    must equal the penalized scheme at level n node for node, which makes
+    it an independent check of the penalty branch.
     """
     tree = shared_tree(payoff, hz)
-    if mode not in ("closed_form", "grid"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "grid":
-        lams = np.geomspace(2.0 ** -6, n, GRID_POINTS)
     lam_star = np.zeros(tree.n_nodes)
 
     def step(e, r, d, sl):
-        if mode == "closed_form":
-            lam_star[sl] = np.where(r > e, n, 0.0)
-            return _implicit_step("penalty_up", e, r, n * d)
-        vals = np.stack([_implicit_step("linear", e, r, lam * d) for lam in lams])
-        best = np.max(vals, axis=0)
-        lam_star[sl] = lams[np.argmax(vals, axis=0)]
-        return best
+        y = _implicit_step("linear", e, r, n * d)
+        lam_star[sl] = np.where(y > e, n, 0.0)
+        return np.maximum(y, e)
 
-    v, z = _implicit_backward(payoff, hz, step, None)
-    return EuroSolveReport(AdaptedProcess(tree, v), z, lambda_star=lam_star)
+    v = _implicit_backward(payoff, hz, step, None)
+    return EuroSolveReport(AdaptedProcess(tree, v), lambda_star=lam_star)
 
 
 @dataclass

@@ -43,10 +43,6 @@ class TimeGrid:
     def steps(self) -> int:
         return self.times.size - 1
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
 
 class FiniteTree:
     """Rooted event tree with per-edge probabilities under P and Q.
@@ -172,15 +168,23 @@ class AdaptedProcess:
     def constant(cls, tree: FiniteTree, c: float) -> "AdaptedProcess":
         return cls(tree, np.full(tree.n_nodes, float(c)))
 
-    def __add__(self, other):
-        return AdaptedProcess(self.tree, self.values + _vals(other))
-
-    def __sub__(self, other):
-        return AdaptedProcess(self.tree, self.values - _vals(other))
-
 
 def _vals(x) -> np.ndarray:
     return x.values if isinstance(x, AdaptedProcess) else np.asarray(x, dtype=float)
+
+
+def node_values(tree: FiniteTree, x, name: str) -> np.ndarray:
+    """One value per node of ``tree`` from a coefficient: a scalar fills every
+    node, an :class:`AdaptedProcess` must live on ``tree`` itself (the
+    :func:`shared_tree` rule) and a plain array needs one value per node."""
+    if np.isscalar(x):
+        return np.full(tree.n_nodes, float(x))
+    if isinstance(x, AdaptedProcess) and x.tree is not tree:
+        raise TreeError(f"{name} lives on a different tree than the problem")
+    v = _vals(x)
+    if v.shape != (tree.n_nodes,):
+        raise TreeError(f"{name} needs one value per node (or a scalar)")
+    return v
 
 
 @dataclass
@@ -400,7 +404,7 @@ def backward(tree: FiniteTree, terminal, step=None, measure: str = "Q") -> np.nd
     At each level the continuation ``e = E[value_{k+1} | F_k]`` is formed
     under ``measure`` and ``step(sl, e)`` returns the values of the level-k
     nodes ``sl``; a step records its own side outputs (stop masks, reflection
-    increments, the continuation itself).  Without a step the sweep is the
+    increments, supermartingale drops).  Without a step the sweep is the
     martingale closure E[X_T | F_k].
     """
     tv = _vals(terminal)

@@ -78,7 +78,7 @@ def random_delta_hazard(rng: np.random.Generator, tree: FiniteTree,
 
 
 def random_phi(rng: np.random.Generator, bundle: ProjectionBundle,
-               cap: float | None = None, with_pr: bool = True) -> PhiControl:
+               with_pr: bool = True) -> PhiControl:
     """Admissible control with sign changes in phi^o, sampled inside the
     strict-positivity bounds of the instance.
 
@@ -91,8 +91,6 @@ def random_phi(rng: np.random.Generator, bundle: ProjectionBundle,
     ratio = bundle.Gtilde.values / np.maximum(bundle.G.values, 1e-300)
     lo = np.where(dgt > 0.0, -ratio, -4.0)
     hi = np.where(dgt > 0.0, 1.0 / np.maximum(dgt, 1e-12), 6.0)
-    if cap is not None:
-        hi = np.minimum(hi, cap - 1.0)
     lo_eff = 0.9 * lo
     hi_eff = np.minimum(0.9 * hi, hi - 0.05)
     hi_eff = np.maximum(hi_eff, lo_eff + 1e-6)
@@ -100,4 +98,4 @@ def random_phi(rng: np.random.Generator, bundle: ProjectionBundle,
     phi_pr = None
     if with_pr:
         phi_pr = phi_pr_from_marks(bundle, rng.uniform(-0.8, 0.8, tree.n_nodes), phi_o)
-    return PhiControl(AdaptedProcess(tree, phi_o), phi_pr, cap=cap)
+    return PhiControl(AdaptedProcess(tree, phi_o), phi_pr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, IdentityError
-from .filtration import AdaptedProcess, FiniteTree, _vals, forward
+from .filtration import AdaptedProcess, FiniteTree, _vals, forward, node_values
 from .random_time import IDENTITY_TOL, ExtendedSpace, ProjectionBundle, _path_exponential
 
 
@@ -121,13 +121,14 @@ def validate_phi(phi: PhiControl, bundle: ProjectionBundle,
     the mark phi^pr conditionally centered one step ahead under the one-step
     default odds of the other density factors (the discrete membership
     condition for the density to be a positive martingale); and
-    phi^o <= cap - 1 when a cap is attached.
+    phi^o <= cap - 1 when a cap is attached.  A phi^o on another tree is not
+    a control of this problem and raises ``TreeError``.
     """
     ext = bundle.ext
     tree = ext.base
     n = tree.n_periods
     dgt = bundle.dGammaTilde
-    phi_o = _vals(phi.phi_o)
+    phi_o = node_values(tree, phi.phi_o, "phi^o")
     phi_pr = phi.phi_pr_atoms(ext)
     viol: list[str] = []
 
@@ -171,14 +172,16 @@ def validate_phi(phi: PhiControl, bundle: ProjectionBundle,
 
 @dataclass
 class DensityBundle:
-    """eta^phi on the extension plus its optional projection and atom measure,
-    with the control and the reference-measure projections it was built on."""
+    """eta^phi on the extension plus its optional projection, atom measure
+    and closed-form hazard increment, with the control and the
+    reference-measure projections it was built on."""
 
     phi: PhiControl
     reference: ProjectionBundle
     eta: np.ndarray                     # (n_atoms, N+1)
     eta_o_proj: AdaptedProcess          # E[eta_k | F_k] per node
     qphi: np.ndarray                    # Q^phi atom probabilities
+    d_lambda: np.ndarray                # (1 + phi^o (1 - dGamma~)) dGamma~ per node
 
 
 def density_eta(phi: PhiControl, bundle: ProjectionBundle,
@@ -198,7 +201,7 @@ def density_eta(phi: PhiControl, bundle: ProjectionBundle,
     if not rep.ok:
         raise AdmissibilityError("; ".join(rep.violations))
 
-    phi_o = _vals(phi.phi_o)
+    phi_o = node_values(tree, phi.phi_o, "phi^o")
     phi_pr = phi.phi_pr_atoms(ext)
     dgt = bundle.dGammaTilde
 
@@ -227,13 +230,8 @@ def density_eta(phi: PhiControl, bundle: ProjectionBundle,
 
     proj = ext.f_condexp(eta)
     qphi = ext.prob * eta[:, n]
-    return DensityBundle(phi, bundle, eta, AdaptedProcess(tree, proj), qphi)
-
-
-def _d_lambda(dens: DensityBundle) -> np.ndarray:
-    """Closed-form hazard increment under Q^phi: (1 + phi^o (1 - dGamma~)) dGamma~."""
-    dgt = dens.reference.dGammaTilde
-    return (1.0 + _vals(dens.phi.phi_o) * (1.0 - dgt)) * dgt
+    return DensityBundle(phi, bundle, eta, AdaptedProcess(tree, proj), qphi,
+                         (1.0 + phi_o * (1.0 - dgt)) * dgt)
 
 
 @dataclass
@@ -266,14 +264,13 @@ def hazard_under_phi(dens: DensityBundle, tilted: ProjectionBundle,
         raise AdmissibilityError(
             "hazard transformation rule needs a post-default mark that vanishes "
             "on the default support")
-    d_lambda = _d_lambda(dens)
-    lam = forward(tree, d_lambda, np.add, 0.0)
+    lam = forward(tree, dens.d_lambda, np.add, 0.0)
 
     r_main = float(np.max(np.abs(lam - tilted.GammaTilde.values)))
     if r_main > tol:
         raise IdentityError(f"hazard under Q^phi: formula and rebuilt projections "
                             f"disagree by {r_main:.3g}")
-    r_dual = float(np.max(np.abs(tilted.dAo.values - tilted.Gtilde.values * d_lambda)))
+    r_dual = float(np.max(np.abs(tilted.dAo.values - tilted.Gtilde.values * dens.d_lambda)))
     if r_dual > tol:
         raise IdentityError(f"dual projection under Q^phi fails dA^o = G~ dLambda "
                             f"by {r_dual:.3g}")
@@ -301,7 +298,7 @@ def G_under_phi(dens: DensityBundle, tilted: ProjectionBundle,
     """
     tree = dens.reference.ext.base
     direct = tilted.G.values
-    e_lam = _path_exponential(tree, -_d_lambda(dens))
+    e_lam = _path_exponential(tree, -dens.d_lambda)
     formula = tree.density_zf() * e_lam / dens.eta_o_proj.values
 
     r = float(np.max(np.abs(direct - formula)))
@@ -323,6 +320,6 @@ def compensated_default_residual(dens: DensityBundle) -> float:
     if not dens.phi.is_graph_trivial(bundle):
         raise AdmissibilityError(
             "compensated-default check needs a graph-trivial post-default mark")
-    lam = forward(ext.base, _d_lambda(dens), np.add, 0.0)
+    lam = forward(ext.base, dens.d_lambda, np.add, 0.0)
     m_g_phi = ext.indicator() - lam[ext.stopped_node]
     return ext.g_martingale_residual(m_g_phi, dens.qphi)

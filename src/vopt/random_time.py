@@ -51,7 +51,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HazardError, IdentityError, TreeError
-from .filtration import AdaptedProcess, FiniteTree, StoppingTime, _vals, forward
+from .filtration import (AdaptedProcess, FiniteTree, StoppingTime, _vals, forward,
+                         node_values)
 
 IDENTITY_TOL = 1e-12
 
@@ -658,7 +659,7 @@ def step_default_probs(bundle: ProjectionBundle, lam) -> np.ndarray:
     ext, tree = bundle.ext, bundle.ext.base
     _require_decision_timed(ext)
     dgt = bundle.dGammaTilde
-    lam_v = _vals(lam) if not np.isscalar(lam) else np.full(tree.n_nodes, float(lam))
+    lam_v = node_values(tree, lam, "lambda")
     if np.any(lam_v <= 0.0):
         raise ValueError("lambda must be strictly positive")
     inner = slice(0, int(tree.level_start[tree.n_periods]))    # the decision nodes
@@ -704,7 +705,7 @@ def full_price_assembly(bundle: ProjectionBundle, payoff,
     hz = ReducedHazard(tree, delta_eff)
     reduced = reduced_price_linear(1.0, payoff, hz, sigma).value
 
-    lam_v = _vals(lam) if not np.isscalar(lam) else np.full(tree.n_nodes, float(lam))
+    lam_v = node_values(tree, lam, "lambda")
     phi_o = np.zeros(tree.n_nodes)
     sl = slice(1, tree.n_nodes)
     phi_o[sl] = lam_v[tree.parent[sl]] - 1.0

@@ -18,8 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .american import GameValueReport, american_upper_price, constrained_dynkin_game
 from .errors import ScenarioError
-from .european import PayoffSpec, ReducedHazard
+from .european import EuroSolveReport, PayoffSpec, ReducedHazard, constrained_snell
 from .filtration import AdaptedProcess, FiniteTree, build_tree
 from .instances import random_extension, random_tree
 from .random_time import HazardSpec, ProjectionBundle, cox_extend, projections
@@ -47,9 +48,13 @@ ALL_SUITES = [
 
 @dataclass
 class Scenario:
-    """A parsed scenario.  The extensions the suites check are built once a
-    run, on first use: ``bundle`` for the scenario's own Cox extension and
-    ``family_bundles`` for the seeded random family."""
+    """A parsed scenario.  What the suites check and the CLI writes out is
+    built once a run, on first use, and shared, so nothing may write into
+    its arrays: ``bundle`` for the scenario's own Cox extension,
+    ``family_bundles`` for the seeded random family, and the three limit
+    problems ``snell``, ``upper`` and ``game``.  A variant with other
+    inputs is a new ``Scenario`` (``dataclasses.replace``), never a copy,
+    so no cached value carries over."""
 
     name: str
     tree: FiniteTree
@@ -67,20 +72,31 @@ class Scenario:
 
     @cached_property
     def bundle(self) -> ProjectionBundle:
-        """Projections of the scenario's Cox extension (``bundle.ext``), built
-        on first use.  The suites and the CLI artifacts share it, so nothing
-        may write into its arrays."""
+        """Projections of the scenario's Cox extension (``bundle.ext``)."""
         return projections(cox_extend(self.tree, self.hazard_h))
+
+    @cached_property
+    def snell(self) -> EuroSolveReport:
+        """Upper European price: the Snell envelope stopped on the hazard support."""
+        return constrained_snell(self.payoff, self.hazard_delta)
+
+    @cached_property
+    def upper(self) -> EuroSolveReport:
+        """Upper American price: the Snell envelope of zeta^u."""
+        return american_upper_price(self.payoff, self.hazard_delta)
+
+    @cached_property
+    def game(self) -> GameValueReport:
+        """Lower American price: the constrained Dynkin game.  Its ``TreeError``
+        (P > R on the support) is not cached, so every read raises it again."""
+        return constrained_dynkin_game(self.payoff, self.hazard_delta)
 
     @cached_property
     def family_bundles(self) -> list[tuple[FiniteTree, ProjectionBundle]]:
         """(tree, projections of its random extension) for each instance of
         the seeded random family, in draw order; empty without a family.
-
-        Built on first use and shared by every suite that walks the family,
-        so nothing may write into its arrays.  The draws come from
-        ``random_family.seed`` alone, never from a suite's own stream, so
-        the list is the same whichever suite builds it.
+        The draws come from ``random_family.seed`` alone, never from a
+        suite's own stream, so the list is the same whichever suite builds it.
         """
         if not self.family:
             return []

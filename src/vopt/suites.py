@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .american import (american_upper_price, brute_force_game, constrained_dynkin_game,
-                       game_payoff, modified_payoff, penalized_american_lower,
-                       penalized_american_upper, rbsde_vs_weighted_optstop)
+from .american import (brute_force_game, game_payoff, modified_payoff,
+                       penalized_american_lower, penalized_american_upper,
+                       rbsde_vs_weighted_optstop)
 from .errors import EnumerationCapError, TreeError
-from .european import (constrained_snell, dirac_convergence_check, penalized_european,
+from .european import (dirac_convergence_check, penalized_european,
                        reduced_price_closed_form, sup_over_phi)
 from .filtration import (DEFAULT_ENUM_CAP, AdaptedProcess, StoppingTime, backward,
                          brute_force_snell_root, _enumerate_stop_nodes,
@@ -184,7 +184,7 @@ def suite_european_duality(sc: Scenario) -> SuiteResult:
     tol = sc.tolerances["duality"]
     tol_id = sc.tolerances["identity"]
     tree, payoff, hz = sc.tree, sc.payoff, sc.hazard_delta
-    snell = constrained_snell(payoff, hz)
+    snell = sc.snell
     gaps, mono_ok = _penalty_ladder(sc, penalized_european, snell.value.values)
     worst = gaps[-1]
     for n in (1, 4, 16):
@@ -245,7 +245,7 @@ def suite_american_upper(sc: Scenario) -> SuiteResult:
     tol = sc.tolerances["duality"]
     tol_id = sc.tolerances["identity"]
     payoff, hz = sc.payoff, sc.hazard_delta
-    target = american_upper_price(payoff, hz)
+    target = sc.upper
     gaps, mono_ok = _penalty_ladder(sc, penalized_american_upper, target.value.values)
     worst = gaps[-1]
     oracle_gap = 0.0
@@ -266,7 +266,7 @@ def suite_game_duality(sc: Scenario) -> SuiteResult:
     tol_id = sc.tolerances["identity"]
     payoff, hz = sc.payoff, sc.hazard_delta
     try:
-        game = constrained_dynkin_game(payoff, hz)
+        game = sc.game
     except TreeError as e:
         return SuiteResult("game-duality", False, np.inf, tol, 0.0,
                            {"error": str(e), "hint": "game needs P <= R on the support"})

@@ -4,13 +4,17 @@ import copy
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vopt
-from vopt import suites
-from vopt.cli import main
+from vopt import american, european, suites
+from vopt.cli import _scaled_scenario, main
+from vopt.european import ReducedHazard, constrained_snell
+from vopt.scenario import parse_scenario
 
 PACKAGED = Path(vopt.__file__).parent / "scenarios" / "paper_regression.json"
 
@@ -136,6 +140,39 @@ def test_sweep_penalty_top(tmp_path, capsys):
     gaps = [r["duality_gap_at_top"] for r in
             json.loads((out / "sweep.json").read_text())["sweep"]]
     assert gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0])
+def test_rescaled_scenario_solves_afresh(scale):
+    # the constrained Snell envelope reads only the support of delta, so a
+    # factor of 2 leaves it unchanged and a factor of 0 moves it
+    sc = parse_scenario(str(PACKAGED))
+    first = sc.snell
+    mod = _scaled_scenario(sc, "delta_scale", scale)
+    fresh = constrained_snell(sc.payoff, ReducedHazard(sc.tree, sc.hazard_delta.delta * scale))
+    assert mod.snell is not first and sc.snell is first
+    assert np.array_equal(mod.snell.value.values, fresh.value.values)
+    assert np.array_equal(mod.snell.value.values, first.value.values) == (scale != 0.0)
+
+
+def test_run_solves_each_limit_problem_once(tmp_path, monkeypatch, capsys):
+    # the suites and the written tables share one solve of each limit
+    # problem; every vopt namespace that binds a solver counts through it
+    calls = {}
+    for module, name in ((european, "constrained_snell"), (american, "american_upper_price"),
+                         (american, "constrained_dynkin_game")):
+        real = getattr(module, name)
+        calls[name] = 0
+
+        def counting(*a, _real=real, _name=name, **k):
+            calls[_name] += 1
+            return _real(*a, **k)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("vopt") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+    assert main(["run", str(PACKAGED), "--out", str(tmp_path)]) == 0
+    assert calls == dict.fromkeys(calls, 1)
 
 
 @pytest.mark.parametrize("param", ["h_scale", "nonsense"])

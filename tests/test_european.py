@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vopt.errors import HazardError
-from vopt.european import (DiracTable, PayoffSpec, ReducedHazard, _implicit_step,
-                           constrained_snell, dirac_convergence_check,
+from vopt.european import (DiracTable, PayoffSpec, ReducedHazard, _implicit_backward,
+                           _implicit_step, constrained_snell, dirac_convergence_check,
                            penalized_european, reduced_price_closed_form,
                            reduced_price_linear, sup_over_phi)
 from vopt.filtration import (AdaptedProcess, StoppingTime, backward,
@@ -223,13 +223,46 @@ def test_sup_over_phi_equals_penalized():
             assert np.max(np.abs(sup.value.values - pen.value.values)) <= TOL
 
 
-def test_sup_over_phi_grid_mode():
+def grid_sup(n, pay, hz, points=64):
+    """Reference for ``sup_over_phi``: at each node the best linear step over a
+    geometric grid of tilts in [2^-6, n].  Too slow for a suite (13-19 ms a
+    call on a 16,383-node tree); returns the values and the winning tilts."""
+    lams = np.geomspace(2.0 ** -6, n, points)
+    lam_star = np.zeros(pay.tree.n_nodes)
+
+    def step(e, r, d, sl):
+        vals = np.stack([_implicit_step("linear", e, r, lam * d) for lam in lams])
+        lam_star[sl] = lams[np.argmax(vals, axis=0)]
+        return np.max(vals, axis=0)
+
+    return _implicit_backward(pay, hz, step, None), lam_star
+
+
+def test_sup_over_phi_matches_a_grid_scan():
     tree, pay, hz = one_period_instance()
-    closed = sup_over_phi(4, pay, hz, mode="closed_form")
-    grid = sup_over_phi(4, pay, hz, mode="grid")
+    closed = sup_over_phi(4, pay, hz)
+    grid, grid_star = grid_sup(4, pay, hz)
     assert closed.value.values[0] == pytest.approx(5 / 3, abs=TOL)
-    assert closed.lambda_star[0] == pytest.approx(4.0)
-    assert abs(grid.value.values[0] - closed.value.values[0]) <= 1e-6
+    assert closed.lambda_star[0] == grid_star[0] == 4.0
+    assert abs(grid[0] - closed.value.values[0]) <= 1e-6
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        tree = random_tree(rng)
+        pay = random_payoff(rng, tree)
+        hz = random_delta_hazard(rng, tree)
+        closed = sup_over_phi(4, pay, hz)
+        # no grid tilt beats the two ends of the range
+        assert np.all(grid_sup(4, pay, hz)[0] <= closed.value.values + TOL)
+        # R falling by 1 a period from 10 tops every continuation (P <= 2):
+        # the top tilt wins at every node carrying hazard
+        high = PayoffSpec(pay.P, AdaptedProcess(tree, 10.0 - tree.level_of))
+        closed = sup_over_phi(4, high, hz)
+        grid, grid_star = grid_sup(4, high, hz)
+        inner = slice(0, int(tree.level_start[tree.n_periods]))
+        live = hz.delta[inner] > 0.0
+        assert np.max(np.abs(grid - closed.value.values)) <= TOL
+        assert np.all(closed.lambda_star[inner][live] == 4.0)
+        assert np.all(grid_star[inner][live] == 4.0)
 
 
 def test_sup_attained_at_vanishing_tilt_when_r_small():

@@ -204,3 +204,22 @@ def test_dirac_suite_fails_a_solve_that_drops_the_recovery(monkeypatch, raw):
     res = suites.suite_dirac_convergence(sc)
     assert res.details["rate_excess"] > sc.tolerances["identity"]
     assert not res.passed
+
+
+def test_european_duality_catches_a_penalty_step_wrong_at_small_n(monkeypatch):
+    # mutant: the penalty branch halves its level while n delta < 64.  Every
+    # rung still rises and the top rung (n = 2^20) is exact, so only the
+    # comparison with sup_over_phi, built from the linear step, sees it
+    sc = parse_scenario(str(PACKAGED))
+    assert suites.suite_european_duality(sc).passed
+    real = european._implicit_step
+
+    def weak_penalty(kind, e, r, a):
+        if kind == "penalty_up":
+            a = np.where(a < 64.0, 0.5 * a, a)
+        return real(kind, e, r, a)
+
+    monkeypatch.setattr(european, "_implicit_step", weak_penalty)
+    res = suites.suite_european_duality(sc)
+    assert res.details["monotone"] and res.details["gap_trace"][-1] <= res.tolerance
+    assert not res.passed and res.max_residual > 1e3 * res.tolerance
