@@ -12,11 +12,12 @@ process under Q^phi can be verified to rounding error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AdmissibilityError, IdentityError
-from .filtration import AdaptedProcess, FiniteTree, _vals, forward, node_values
+from .filtration import AdaptedProcess, FiniteTree, forward, node_values
 from .random_time import IDENTITY_TOL, ExtendedSpace, ProjectionBundle, _path_exponential
 
 
@@ -92,7 +93,7 @@ def phi_pr_from_marks(bundle: ProjectionBundle, marks: np.ndarray,
     is inert there).
     """
     tree = bundle.ext.base
-    phi_o_v = np.zeros(tree.n_nodes) if phi_o is None else _vals(phi_o)
+    phi_o_v = np.zeros(tree.n_nodes) if phi_o is None else node_values(tree, phi_o, "phi^o")
     w = _default_step_weights(bundle, phi_o_v)
     out = np.asarray(marks, dtype=float).copy()
     out[1:] -= _children_mean(tree, w, out)[tree.parent[1:]]
@@ -172,27 +173,35 @@ def validate_phi(phi: PhiControl, bundle: ProjectionBundle,
 
 @dataclass
 class DensityBundle:
-    """eta^phi on the extension plus its optional projection, atom measure
-    and closed-form hazard increment, with the control and the
-    reference-measure projections it was built on."""
+    """eta^phi on the extension plus its atom measure and closed-form hazard
+    increment, with the control and the reference-measure projections it was
+    built on.  The optional projection of eta is built on first use."""
 
     phi: PhiControl
     reference: ProjectionBundle
     eta: np.ndarray                     # (n_atoms, N+1)
-    eta_o_proj: AdaptedProcess          # E[eta_k | F_k] per node
     qphi: np.ndarray                    # Q^phi atom probabilities
     d_lambda: np.ndarray                # (1 + phi^o (1 - dGamma~)) dGamma~ per node
+
+    @cached_property
+    def eta_o_proj(self) -> AdaptedProcess:
+        """E[eta_k | F_k] per node; read-only."""
+        proj = self.reference.ext.f_condexp(self.eta)
+        proj.flags.writeable = False
+        return AdaptedProcess(self.reference.ext.base, proj)
 
 
 def density_eta(phi: PhiControl, bundle: ProjectionBundle,
                 tol: float = IDENTITY_TOL) -> DensityBundle:
-    """Build eta^phi as the product of the three discrete exponentials.
+    """Build eta^phi as the product of the three discrete exponentials, from
+    per-node path products: a cell before theta reads the survival product and
+    market factor at its node, and from theta on an atom holds the same
+    products at its default node times the jump and mark factors.
 
     The control is checked with :func:`validate_phi` first; an inadmissible
-    one raises ``AdmissibilityError``.  Internally re-verified to be a
-    strictly positive martingale in the enlarged filtration with eta_0 = 1
-    and E[eta_T] = 1; a failure raises ``IdentityError`` since it cannot come
-    from admissible input.
+    one raises ``AdmissibilityError``.  Re-verified to be a strictly positive
+    G-martingale with eta_0 = 1 and E[eta_T] = 1; a failure raises
+    ``IdentityError`` since it cannot come from admissible input.
     """
     ext = bundle.ext
     tree = ext.base
@@ -202,21 +211,14 @@ def density_eta(phi: PhiControl, bundle: ProjectionBundle,
         raise AdmissibilityError("; ".join(rep.violations))
 
     phi_o = node_values(tree, phi.phi_o, "phi^o")
-    phi_pr = phi.phi_pr_atoms(ext)
     dgt = bundle.dGammaTilde
-
-    # default factor: E(phi^o . m^G) -- the step into the time-k node has the
-    # survival factor before theta, the jump factor at theta and 1 after
-    factors = np.stack([1.0 - phi_o * dgt, 1.0 + phi_o * (1.0 - dgt), np.ones(tree.n_nodes)])
-    ks = np.arange(1, n + 1)
-    theta = ext.theta[:, None]
-    state = (ks >= theta).astype(np.int8) + (ks > theta)
-    eta = np.ones((ext.n_atoms, n + 1))
-    np.cumprod(factors[state, ext.node_at[:, 1:]], axis=1, out=eta[:, 1:])
-    eta *= bundle.market_factor[ext.stopped_node]   # Z^F / E(N~), stopped at theta
-
-    # post-default factor: E(phi^pr . A)
-    np.multiply(eta, 1.0 + phi_pr[:, None], out=eta, where=np.arange(n + 1) >= theta)
+    mf = bundle.market_factor                       # Z^F / E(N~), stopped at theta
+    jump = 1.0 + phi_o * (1.0 - dgt)
+    surv = forward(tree, 1.0 - phi_o * dgt, np.multiply, 1.0)
+    dn = ext.default_node
+    post = surv[tree.parent[dn]] * jump[dn] * mf[dn] * (1.0 + phi.phi_pr_atoms(ext))
+    eta = (surv * mf)[ext.node_at]
+    np.copyto(eta, post[:, None], where=ext.theta[:, None] <= np.arange(n + 1))
     if np.any(eta <= 0.0):
         raise IdentityError("eta^phi not strictly positive despite admissible control")
     if np.max(np.abs(eta[:, 0] - 1.0)) > tol:
@@ -228,10 +230,7 @@ def density_eta(phi: PhiControl, bundle: ProjectionBundle,
     if r > 1e-10:
         raise IdentityError(f"eta^phi is not a martingale (residual {r:.3g})")
 
-    proj = ext.f_condexp(eta)
-    qphi = ext.prob * eta[:, n]
-    return DensityBundle(phi, bundle, eta, AdaptedProcess(tree, proj), qphi,
-                         (1.0 + phi_o * (1.0 - dgt)) * dgt)
+    return DensityBundle(phi, bundle, eta, ext.prob * eta[:, n], jump * dgt)
 
 
 @dataclass

@@ -19,7 +19,7 @@ distinct across levels, which gives the two projection primitives:
 - ``f_condexp(x)``: E[x_k | F_k] at every tree node, one ``bincount`` over
   ``node_at``;
 - ``g_condexp(x)``: E[x_k | G_k] per atom and time, one ``bincount`` over the
-  G_k cells (level-k node, default state at k).
+  G_k cells (level-k node, default state at k) of all N+1 times.
 
 Both add each node's or cell's atoms in atom order, and ``g_condexp`` is a
 direct per-cell Bayes sum that never reads the projections it checks.
@@ -153,6 +153,17 @@ class ExtendedSpace:
         size = self.base.n_nodes * (self.base.n_periods + 1)
         return self._sums(self._g_cells, self.prob, size)
 
+    @cached_property
+    def _decision_spread(self) -> np.ndarray:
+        """Per time-k node, the spread of P(theta = t_{k+1} | path) over its paths."""
+        tree, n = self.base, self.base.n_periods
+        default = self.theta <= n
+        rows = self.leaf_row[default]
+        kappa = np.bincount(rows * n + self.theta[default] - 1, minlength=tree.leaves.size * n,
+                            weights=self.prob[default] / tree.node_p[tree.leaves][rows])
+        # column j-1 of kappa, grouped by the time-(j-1) node of each path
+        return _group_spread(tree.path_nodes()[:, :-1].ravel(), kappa, tree.n_nodes)
+
     def _own(self, weights) -> bool:
         return weights is None or weights is self.prob
 
@@ -176,18 +187,25 @@ class ExtendedSpace:
         """E[x_k | G_k] per atom and time, shape (n_atoms, N+1).
 
         ``x`` is shaped as for :meth:`f_condexp`, or has fewer columns (times
-        0, 1, ...; the output then has as many).  The G_k cell of an atom is
-        its level-k node and its default state at k (theta if theta <= k,
-        else 0), with id ``node * (N+1) + state``.
+        0, 1, ...; the output then has as many, and the bins, which always run
+        over all N+1 columns of cell ids, see the missing ones as zeros).  The
+        G_k cell of an atom is its level-k node and its default state at k
+        (theta if theta <= k, else 0), with id ``node * (N+1) + state``.
         """
         w = self.prob if weights is None else weights
         x = np.asarray(x)
         n = self.base.n_periods
-        cells = self._g_cells if x.ndim == 1 else self._g_cells[:, :x.shape[1]]
+        cols = n + 1 if x.ndim == 1 else x.shape[1]
         size = self.base.n_nodes * (n + 1)
-        num = self._sums(cells, w[:, None] * x if x.ndim == 2 else w * x, size)
-        den = self._g_mass if self._own(weights) else self._sums(cells, w, size)
-        return np.divide(num, den, out=np.zeros(size), where=den > 0.0)[cells]
+        buf = np.zeros((self.n_atoms, n + 1))   # w x, then the masses of w, then the result
+        np.multiply(w[:, None], x.reshape(self.n_atoms, -1), out=buf[:, :cols])
+        num = self._sums(self._g_cells, buf, size)
+        den = self._g_mass
+        if not self._own(weights):
+            buf[:] = w[:, None]
+            den = self._sums(self._g_cells, buf, size)
+        means = np.divide(num, den, out=np.zeros(size), where=den > 0.0)
+        return np.take(means, self._g_cells, out=buf)[:, :cols]
 
     def g_martingale_residual(self, x: np.ndarray, weights: np.ndarray | None = None
                               ) -> float:
@@ -632,14 +650,7 @@ def _require_decision_timed(ext: ExtendedSpace, tol: float = 1e-10) -> None:
     the exact conditional expectation and the assembly bridge does not apply.
     """
     tree = ext.base
-    n = tree.n_periods
-    leaf_p = tree.node_p[tree.leaves]
-    kappa = np.zeros((tree.leaves.size, n))
-    default = ext.theta <= n
-    np.add.at(kappa, (ext.leaf_row[default], ext.theta[default] - 1),
-              ext.prob[default] / leaf_p[ext.leaf_row[default]])
-    # column j-1 of kappa, grouped by the time-(j-1) node of each path
-    spread = _group_spread(tree.path_nodes()[:, :-1].ravel(), kappa.ravel(), tree.n_nodes)
+    spread = ext._decision_spread
     bad = np.flatnonzero(spread > tol)
     if bad.size:
         k = int(tree.level_of[bad[0]])

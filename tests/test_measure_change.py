@@ -5,11 +5,13 @@ import pytest
 
 from vopt.errors import AdmissibilityError
 from vopt.filtration import AdaptedProcess, build_tree, forward
-from vopt.instances import random_extension, random_phi, random_tree
+from vopt.instances import (random_extension, random_hazard_h, random_payoff, random_phi,
+                            random_tree)
 from vopt.measure_change import (G_under_phi, PhiControl, compensated_default_residual,
                                  density_eta, hazard_under_phi, phi_pr_from_marks,
                                  validate_phi)
-from vopt.random_time import HazardSpec, cox_extend, projections
+from vopt.random_time import (ExtendedSpace, HazardSpec, cox_extend, full_price_assembly,
+                              projections)
 
 TOL = 1e-12
 
@@ -46,6 +48,28 @@ def test_bundle_factors_are_built_once_read_only_and_equal_the_formulas():
         assert np.array_equal(b.dGammaTilde, np.r_[0.0, gt[1:] - gt[up]])
         e_nt = forward(tree, 1.0 + np.r_[0.0, (m[1:] - m[up]) / G[up]], np.multiply, 1.0)
         assert np.array_equal(b.market_factor, tree.density_zf() / e_nt)
+
+
+def test_density_projection_is_built_on_first_use(monkeypatch):
+    # only the G-rule reads E[eta | F]: the assembly densities never build it
+    f_condexp = ExtendedSpace.f_condexp
+    calls = []
+    monkeypatch.setattr(ExtendedSpace, "f_condexp",
+                        lambda self, *a, **kw: calls.append(1) or f_condexp(self, *a, **kw))
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        tree = random_tree(rng, max_periods=3)
+        b = projections(cox_extend(tree, random_hazard_h(rng, tree, timing="decision")))
+        lam = AdaptedProcess(tree, rng.uniform(0.5, 2.0, tree.n_nodes))
+        assert full_price_assembly(b, random_payoff(rng, tree), lam=lam).residual <= TOL
+        assert not calls
+        dens = density_eta(random_phi(rng, b), b)
+        assert not calls and "eta_o_proj" not in vars(dens)
+        proj = dens.eta_o_proj
+        assert dens.eta_o_proj is proj and len(calls) == 1
+        assert not proj.values.flags.writeable
+        assert np.array_equal(proj.values, f_condexp(b.ext, dens.eta))
+        calls.clear()
 
 
 # -- validate_phi -----------------------------------------------------------------
@@ -283,8 +307,6 @@ def test_hazard_rule_rejects_mark_on_default_support():
 
 def test_reduced_price_invariant_to_post_default_mark():
     rng = np.random.default_rng(34)
-    from vopt.random_time import full_price_assembly
-    from vopt.instances import random_payoff
     tree = random_tree(rng, max_periods=3)
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.35))
     b = projections(ext)

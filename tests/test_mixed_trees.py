@@ -20,7 +20,7 @@ from vopt.european import (PayoffSpec, ReducedHazard, constrained_snell,
                            reduced_price_closed_form, reduced_price_linear, sup_over_phi)
 from vopt.filtration import (AdaptedProcess, StoppingTime, build_tree, evaluate_stopping,
                              node_values, shared_tree)
-from vopt.measure_change import PhiControl, density_eta, validate_phi
+from vopt.measure_change import PhiControl, density_eta, phi_pr_from_marks, validate_phi
 from vopt.random_time import (HazardSpec, cox_extend, full_price_assembly, projections,
                               step_default_probs)
 
@@ -74,6 +74,7 @@ MIXED_CALLS = {
     "step_default_probs": lambda: step_default_probs(BUNDLE, LAM_B),
     "validate_phi": lambda: validate_phi(PHI_B, BUNDLE),
     "density_eta": lambda: density_eta(PHI_B, BUNDLE),
+    "phi_pr_from_marks": lambda: phi_pr_from_marks(BUNDLE, np.linspace(-0.5, 0.5, 7), LAM_B),
 }
 
 
@@ -90,6 +91,7 @@ def test_the_same_calls_run_on_one_tree():
     assert reflected_gbsde_solve("linear", lam, PAY, HZ).value.tree is A
     assert step_default_probs(BUNDLE, lam).shape == (7,)
     assert density_eta(PhiControl(AdaptedProcess.constant(A, 0.1)), BUNDLE).eta.shape[1] == 3
+    assert phi_pr_from_marks(BUNDLE, np.linspace(-0.5, 0.5, 7), lam).shape == (7,)
     assert constrained_snell(PAY, HZ).value.tree is A
     assert game_payoff(PAY, SIG, SIG) == pytest.approx(float(A.node_q[A.leaves]
                                                              @ PAY.P.values[A.leaves]))

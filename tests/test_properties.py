@@ -1,5 +1,6 @@
 """Property tests of the two projection primitives of ExtendedSpace, the
-mass-table projections, the key lemma and the closed-form reduced price."""
+mass-table projections, the key lemma, the density eta^phi and the
+closed-form reduced price."""
 
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from vopt.european import reduced_price_closed_form, reduced_price_linear
 from vopt.filtration import AdaptedProcess, StoppingTime, forward
 from vopt.instances import (random_delta_hazard, random_extension, random_payoff,
-                            random_tree)
+                            random_phi, random_tree)
+from vopt.measure_change import density_eta
 from vopt.random_time import key_lemma, projections
 
 TOL = 1e-12
@@ -226,6 +228,38 @@ def test_mass_table_is_no_less_accurate_than_condexp(inst):
             err_direct = abs(Fraction(float(direct[name][v])) - ex)
             slack = 4 * Fraction(float(np.spacing(abs(float(ex)))))
             assert err_table <= err_direct + slack, (name, v)
+
+
+# -- eta^phi against the state-table construction --------------------------------
+
+def eta_reference(phi, bundle):
+    """eta^phi from a per-step state table (survival factor before theta, jump
+    factor at theta, 1 after), its cumulative product along each atom's path,
+    the market factor stopped at theta and the mark from theta on."""
+    ext = bundle.ext
+    n = ext.base.n_periods
+    phi_o, dgt = phi.phi_o.values, bundle.dGammaTilde
+    factors = np.stack([1.0 - phi_o * dgt, 1.0 + phi_o * (1.0 - dgt), np.ones(ext.base.n_nodes)])
+    ks = np.arange(1, n + 1)
+    theta = ext.theta[:, None]
+    state = (ks >= theta).astype(np.int8) + (ks > theta)
+    eta = np.ones((ext.n_atoms, n + 1))
+    np.cumprod(factors[state, ext.node_at[:, 1:]], axis=1, out=eta[:, 1:])
+    eta *= bundle.market_factor[ext.stopped_node]
+    np.multiply(eta, 1.0 + phi.phi_pr_atoms(ext)[:, None], out=eta,
+                where=np.arange(n + 1) >= theta)
+    return eta
+
+
+@props
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["cox", "kernel"]))
+def test_density_eta_equals_the_state_table_product(seed, kind):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_periods=3, max_branching=3)
+    bundle = projections(random_extension(rng, tree, kind))
+    for with_pr in (False, True):
+        phi = random_phi(rng, bundle, with_pr)
+        assert np.array_equal(density_eta(phi, bundle).eta, eta_reference(phi, bundle))
 
 
 # -- the closed-form oracle against the backward recursion ----------------------

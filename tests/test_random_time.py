@@ -426,6 +426,29 @@ def test_assembly_rejects_arrival_timed_hazard():
         full_price_assembly(projections(ext), pay)
 
 
+def test_decision_timing_is_measured_once_per_extension(monkeypatch):
+    import vopt.random_time as rt
+    spreads = []
+    group_spread = rt._group_spread
+    monkeypatch.setattr(rt, "_group_spread", lambda *a: spreads.append(1) or group_spread(*a))
+    tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
+    h = np.zeros(tree.n_nodes)
+    h[1], h[2] = 0.2, 0.7
+    pay = PayoffSpec(AdaptedProcess.constant(tree, 1.0), AdaptedProcess.constant(tree, 2.0))
+    bad = projections(cox_extend(tree, HazardSpec(h, timing="arrival")))
+    for _ in range(3):      # the error is raised, with its message, on every call
+        with pytest.raises(HazardError) as err:
+            full_price_assembly(bad, pay)
+        assert str(err.value) == ("assembly requires a decision-timed hazard: the "
+                                  "conditional default mass at t_1 varies within a "
+                                  "time-0 node (spread 0.5)")
+    assert len(spreads) == 1
+    good = projections(cox_extend(tree, HazardSpec(h)))
+    for lam in (0.5, 1.0, 2.0):
+        assert full_price_assembly(good, pay, lam=lam).residual <= TOL
+    assert len(spreads) == 2
+
+
 def test_assembly_needs_the_own_measure_bundle():
     tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.3))
