@@ -6,7 +6,8 @@
     vopt oracle <scenario.json> [--out DIR]
 
 Exit code 0 iff every selected suite's residual is within its tolerance,
-1 if a suite failed and 2 if the scenario is malformed.
+1 if a suite failed and 2 if the scenario is malformed; ``run`` on an empty
+suite list exits 2, since it would pass having checked nothing.
 ``VOPT_OUT_DIR`` sets the default output directory.
 """
 
@@ -26,34 +27,45 @@ from .scenario import Scenario, parse_scenario
 from .suites import RunReport, run_suites
 
 
+# Files a run writes only when their solve or suite ran; a run that does not
+# write one removes the copy an earlier run left in the same directory.
+CONDITIONAL_ARTIFACTS = ("values_game.csv", "strategies_game.csv",
+                         "trace_duality.json", "trace_dirac.json")
+
+
 def _emit_run_artifacts(sc: Scenario, report: RunReport, out_dir: str) -> None:
-    reports.write_text(os.path.join(out_dir, "report.json"),
-                       reports.to_json(report.to_dict()) + "\n")
-    reports.write_text(os.path.join(out_dir, "bundle.csv"), reports.bundle_csv(sc.bundle))
-    reports.write_text(os.path.join(out_dir, "values_constrained_snell.csv"),
-                       reports.process_csv(sc.snell.value, "constrained_snell"))
-    reports.write_text(os.path.join(out_dir, "values_american_upper.csv"),
-                       reports.process_csv(sc.upper.value, "american_upper"))
+    written = set()
+
+    def emit(name: str, text: str) -> None:
+        reports.write_text(os.path.join(out_dir, name), text)
+        written.add(name)
+
+    emit("report.json", reports.to_json(report.to_dict()) + "\n")
+    emit("bundle.csv", reports.bundle_csv(sc.bundle))
+    emit("values_constrained_snell.csv",
+         reports.process_csv(sc.snell.value, "constrained_snell"))
+    emit("values_american_upper.csv", reports.process_csv(sc.upper.value, "american_upper"))
     try:
         game = sc.game
-        reports.write_text(os.path.join(out_dir, "values_game.csv"),
-                           reports.process_csv(game.value, "game_value"))
-        reports.write_text(os.path.join(out_dir, "strategies_game.csv"),
-                           reports.strategy_csv(sc.tree, {
-                               "maximizer": game.sigma_star.stop,
-                               "minimizer": game.tau_star.stop}))
+        emit("values_game.csv", reports.process_csv(game.value, "game_value"))
+        emit("strategies_game.csv", reports.strategy_csv(sc.tree, {
+            "maximizer": game.sigma_star.stop, "minimizer": game.tau_star.stop}))
     except TreeError:
         pass  # P <= R fails off the game hypothesis; suite reports it
 
     for res in report.results:
         if res.name == "european-duality" and "gap_trace" in res.details:
-            reports.write_text(os.path.join(out_dir, "trace_duality.json"),
-                               reports.to_json(reports.convergence_trace(
-                                   "n", res.details["ladder"],
-                                   res.details["gap_trace"])) + "\n")
+            emit("trace_duality.json", reports.to_json(reports.convergence_trace(
+                "n", res.details["ladder"], res.details["gap_trace"])) + "\n")
         if res.name == "dirac-convergence" and "trace" in res.details:
-            reports.write_text(os.path.join(out_dir, "trace_dirac.json"),
-                               reports.to_json(res.details["trace"]) + "\n")
+            emit("trace_dirac.json", reports.to_json(res.details["trace"]) + "\n")
+
+    for name in CONDITIONAL_ARTIFACTS:
+        if name not in written:
+            try:
+                os.remove(os.path.join(out_dir, name))
+            except FileNotFoundError:
+                pass
 
 
 def _print_report(report: RunReport) -> None:
@@ -69,8 +81,7 @@ def cmd_run(args) -> int:
     if args.out:
         sc.output_dir = args.out
     if not sc.suites:
-        print("warning: empty suite list; nothing to do", file=sys.stderr)
-        return 0
+        raise ScenarioError("suites: empty list, nothing to check")
     report = run_suites(sc)
     _emit_run_artifacts(sc, report, sc.output_dir)
     _print_report(report)

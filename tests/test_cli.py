@@ -107,6 +107,32 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_empty_suite_list_exits_2(tmp_path, capsys):
+    raw = json.loads(PACKAGED.read_text())
+    raw["suites"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "scenario error: suites: empty list, nothing to check\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_rerun_into_same_directory_removes_artifacts_it_does_not_write(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(PACKAGED), "--out", str(out)]) == 0
+    conditional = ["values_game.csv", "strategies_game.csv",
+                   "trace_duality.json", "trace_dirac.json"]
+    assert all((out / name).exists() for name in conditional)
+    raw = json.loads(PACKAGED.read_text())
+    raw["payoff"] = {"P": 2.0, "R": 1.0}
+    raw["suites"] = ["game-duality"]
+    path = tmp_path / "off_hypothesis.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert not [name for name in conditional if (out / name).exists()]
+    assert json.loads((out / "report.json").read_text())["passed"] is False
+
+
 def test_threads_option_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(PACKAGED), "--threads", "2"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vopt.filtration import AdaptedProcess, build_tree
+from vopt import reports
 from vopt.reports import fmt, process_csv, strategy_csv, table_csv, to_json
 
 
@@ -160,6 +161,31 @@ def test_writers_equal_per_node_reference(seed):
     assert process_csv(proc, "V") == ref_table_csv(tree, {"V": proc.values})
     stops = {f"s{j}": rng.random(tree.n_nodes) < 0.5 for j in range(int(rng.integers(0, 3)))}
     assert strategy_csv(tree, stops) == ref_strategy_csv(tree, stops)
+
+
+def assert_writers_equal_reference(tree, rng):
+    cols = {f"c{j}": awkward_values(rng, tree.n_nodes) for j in range(3)}
+    assert table_csv(tree, cols) == ref_table_csv(tree, cols)
+    proc = AdaptedProcess(tree, awkward_values(rng, tree.n_nodes))
+    assert process_csv(proc, "V") == ref_table_csv(tree, {"V": proc.values})
+    stops = {f"s{j}": rng.random(tree.n_nodes) < 0.5 for j in range(2)}
+    assert strategy_csv(tree, stops) == ref_strategy_csv(tree, stops)
+
+
+def test_writers_cross_block_boundaries():
+    # the 1,024 leaves of a 10-period binary tree span two blocks and the 512
+    # nodes of level 9 exactly one
+    tree = build_tree({"times": np.linspace(0.0, 1.0, 11), "branching": 2, "p": "uniform"})
+    assert tree.leaves.size > reports.BLOCK_ROWS
+    assert_writers_equal_reference(tree, np.random.default_rng(99))
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_writers_with_small_blocks_equal_per_node_reference(block_rows, seed, monkeypatch):
+    monkeypatch.setattr(reports, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(100 + seed)
+    assert_writers_equal_reference(ragged_tree(rng), rng)
 
 
 def test_writers_print_special_values_as_fmt_does():
