@@ -425,13 +425,16 @@ def forward(tree: FiniteTree, incr: np.ndarray, combine, root) -> np.ndarray:
     ``out[0] = root`` and, level by level from the root down,
     ``out[v] = combine(out[parent(v)], incr[v])``.  The output takes the dtype
     of ``incr``.  Increments that are read at the parent node are passed as
-    ``x[tree.parent]``.
+    ``x[tree.parent]``.  The node axis is the last one: leading axes of
+    ``incr`` are a batch of processes swept together, each exactly as it
+    would be alone.
     """
     out = np.empty_like(np.asarray(incr))
-    out[0] = root
+    o, x = out.T, np.asarray(incr).T        # node axis first: one gather per level
+    o[0] = root
     for k in range(1, tree.n_periods + 1):
         sl = tree.level_slice(k)
-        out[sl] = combine(out[tree.parent[sl]], incr[sl])
+        o[sl] = combine(o[tree.parent[sl]], x[sl])
     return out
 
 

@@ -78,13 +78,16 @@ def random_delta_hazard(rng: np.random.Generator, tree: FiniteTree,
 
 
 def random_phi(rng: np.random.Generator, bundle: ProjectionBundle,
-               with_pr: bool = True) -> PhiControl:
+               with_pr: bool = True, count: int | None = None) -> PhiControl:
     """Admissible control with sign changes in phi^o, sampled inside the
     strict-positivity bounds of the instance.
 
     ``with_pr=False`` yields the graph-trivial subfamily on which the hazard
-    transformation rule is an exact theorem.  The control is not validated
-    here: :func:`density_eta` checks it once, when its density is built.
+    transformation rule is an exact theorem.  ``count`` gives a stack of that
+    many controls, drawn in the generator order of as many single draws: one
+    draw per control of its phi^o, then of its raw marks, in one call.  The
+    control is not validated here: :func:`density_eta` checks it once, when
+    its density is built.
     """
     tree = bundle.ext.base
     dgt = bundle.dGammaTilde
@@ -94,8 +97,13 @@ def random_phi(rng: np.random.Generator, bundle: ProjectionBundle,
     lo_eff = 0.9 * lo
     hi_eff = np.minimum(0.9 * hi, hi - 0.05)
     hi_eff = np.maximum(hi_eff, lo_eff + 1e-6)
-    phi_o = rng.uniform(lo_eff, hi_eff)
-    phi_pr = None
+    n = tree.n_nodes
     if with_pr:
-        phi_pr = phi_pr_from_marks(bundle, rng.uniform(-0.8, 0.8, tree.n_nodes), phi_o)
-    return PhiControl(AdaptedProcess(tree, phi_o), phi_pr)
+        lo_eff = np.concatenate([lo_eff, np.full(n, -0.8)])
+        hi_eff = np.concatenate([hi_eff, np.full(n, 0.8)])
+    draw = rng.uniform(lo_eff, hi_eff, None if count is None else (count, lo_eff.size))
+    phi_o = draw[..., :n]
+    if count is None:
+        phi_o = AdaptedProcess(tree, phi_o)
+    phi_pr = phi_pr_from_marks(bundle, draw[..., n:], phi_o) if with_pr else None
+    return PhiControl(phi_o, phi_pr)

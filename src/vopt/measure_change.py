@@ -7,6 +7,21 @@ driven by phi^o against the compensated default indicator, and a post-default
 factor driven by phi^pr against the indicator itself.  Everything is exact on
 the finite space, so the transformation rules for the hazard and the survival
 process under Q^phi can be verified to rounding error.
+
+Control stacks.  A ``PhiControl`` holds one control, or a stack of K controls
+with phi^o (and phi^pr, when given) on a leading axis.  ``validate_phi``,
+``density_eta``, ``hazard_under_phi``, ``G_under_phi`` and
+``compensated_default_residual`` take either, and keep the leading axis in
+what they return: the node- and atom-level arithmetic (survival products,
+jump and mark factors, sibling-group sums, the survival tables rebuilt under
+each Q^phi) is one array operation per step for all K controls, element for
+element the arithmetic of one control, so every row is bitwise what its
+control gives alone.  The G- and F-projections behind the checks (the
+martingale residuals from ``ExtendedSpace.g_condexp``, E[eta | F] from
+``f_condexp``) run once per row: they are the direct per-atom Bayes sums the
+fast path is checked against, and they stay independent of its layout.  A
+stack that fails raises what a loop over its controls would raise first: the
+first failing control, with the first check it fails.
 """
 
 from __future__ import annotations
@@ -16,9 +31,51 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AdmissibilityError, IdentityError
+from .errors import AdmissibilityError, IdentityError, TreeError
 from .filtration import AdaptedProcess, FiniteTree, forward, node_values
-from .random_time import IDENTITY_TOL, ExtendedSpace, ProjectionBundle, _path_exponential
+from .random_time import (IDENTITY_TOL, ExtendedSpace, ProjectionBundle, SurvivalTables,
+                          _path_exponential, survival_tables)
+
+
+def _node_rows(tree: FiniteTree, x, name: str) -> np.ndarray:
+    """:func:`node_values` of one coefficient, or a (K, n_nodes) stack of them."""
+    if isinstance(x, AdaptedProcess) or np.ndim(x) < 2:
+        return node_values(tree, x, name)
+    v = np.asarray(x, dtype=float)
+    if v.shape[-1] != tree.n_nodes:
+        raise TreeError(f"{name} needs one value per node (or a scalar)")
+    return v
+
+
+def _row(x: np.ndarray, r: int) -> np.ndarray:
+    """Row r of a stack; an array without a stack axis is every row."""
+    return x if x.ndim == 1 else x.reshape(-1, x.shape[-1])[r]
+
+
+def _first_failure(failed) -> tuple[int | None, list[bool]]:
+    """The first control of a stack that fails any check, and which checks it
+    fails; ``failed`` holds one flag per control for each check (0-d for one
+    control).  (None, []) when every control passes."""
+    failed = np.broadcast_arrays(*(np.ravel(f) for f in failed))
+    rows = np.flatnonzero(np.any(failed, axis=0))
+    if not rows.size:
+        return None, []
+    r = int(rows[0])
+    return r, [bool(f[r]) for f in failed]
+
+
+def _raise_first(checks) -> None:
+    """Raise what a loop over the controls, one at a time, raises first: the
+    first control failing a check, with the first check it fails.
+
+    ``checks`` holds ordered (failed, error class, message, value) entries;
+    ``failed`` and ``value`` have one entry per control (0-d for one
+    control), and a ``value`` that is not None is formatted into the message.
+    """
+    r, hits = _first_failure([f for f, _, _, _ in checks])
+    if r is not None:
+        _, cls, message, value = checks[hits.index(True)]
+        raise cls(message if value is None else message.format(np.ravel(value)[r]))
 
 
 @dataclass
@@ -32,28 +89,33 @@ class PhiControl:
     conditionally centered, one step ahead, under the one-step odds the other
     density factors induce (see :func:`validate_phi`).  ``cap`` bounds
     ``phi_o <= cap - 1`` (membership in the n-indexed subfamily used for the
-    price bounds).
+    price bounds).  A stack of K controls holds ``phi_o`` as a (K, n_nodes)
+    array, and ``phi_pr``, when given, as (K, n_nodes) or as one row that
+    every control shares.
     """
 
-    phi_o: AdaptedProcess
+    phi_o: AdaptedProcess | np.ndarray
     phi_pr: np.ndarray | None = None
     cap: float | None = None
+
+    def phi_o_nodes(self, tree: FiniteTree) -> np.ndarray:
+        return _node_rows(tree, self.phi_o, "phi^o")
 
     def phi_pr_nodes(self, ext: ExtendedSpace) -> np.ndarray:
         if self.phi_pr is None:
             return np.zeros(ext.base.n_nodes)
         arr = np.asarray(self.phi_pr, dtype=float)
-        if arr.shape != (ext.base.n_nodes,):
+        if arr.shape[-1:] != (ext.base.n_nodes,):
             raise AdmissibilityError("phi_pr must carry one value per tree node")
         return arr
 
     def phi_pr_atoms(self, ext: ExtendedSpace) -> np.ndarray:
         return np.where(ext.theta <= ext.base.n_periods,
-                        self.phi_pr_nodes(ext)[ext.default_node], 0.0)
+                        np.take(self.phi_pr_nodes(ext), ext.default_node, axis=-1), 0.0)
 
-    def is_graph_trivial(self, bundle: ProjectionBundle, tol: float = IDENTITY_TOL
-                         ) -> bool:
-        """True when the mark vanishes wherever default carries mass.
+    def is_graph_trivial(self, bundle: ProjectionBundle, tol: float = IDENTITY_TOL):
+        """True when the mark vanishes wherever default carries mass; one flag
+        per control of a stack.
 
         The hazard- and dual-projection transformation rules under Q^phi are
         exact theorems on this subfamily only (the literal reading of the
@@ -61,7 +123,7 @@ class PhiControl:
         off the default support on a finite space).
         """
         marks = self.phi_pr_nodes(bundle.ext)
-        return bool(np.all(np.abs(marks * bundle.dAo.values) <= tol))
+        return np.all(np.abs(marks * bundle.dAo.values) <= tol, axis=-1)
 
 
 def _default_step_weights(bundle: ProjectionBundle, phi_o: np.ndarray) -> np.ndarray:
@@ -75,11 +137,19 @@ def _default_step_weights(bundle: ProjectionBundle, phi_o: np.ndarray) -> np.nda
 
 def _children_mean(tree: FiniteTree, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per node, the w-weighted mean of x over its children (0 where they
-    carry no weight), from one bincount over the parent ids."""
-    up = tree.parent[1:]
-    tot = np.bincount(up, weights=w[1:], minlength=tree.n_nodes)
-    num = np.bincount(up, weights=(w * x)[1:], minlength=tree.n_nodes)
-    return np.divide(num, tot, out=np.zeros_like(num), where=tot > 0)
+    carry no weight), from one bincount over the parent ids of every row of
+    a stack (node axis last)."""
+    wx = w * x
+    n = tree.n_nodes
+    rows = wx.size // n
+    up = (np.arange(rows)[:, None] * n + tree.parent[1:]).ravel()
+
+    def sums(v):
+        v = np.broadcast_to(v, wx.shape)[..., 1:].ravel()
+        return np.bincount(up, weights=v, minlength=rows * n).reshape(wx.shape)
+
+    tot, num = sums(w), sums(wx)
+    return np.divide(num, tot, out=np.zeros(wx.shape), where=tot > 0)
 
 
 def phi_pr_from_marks(bundle: ProjectionBundle, marks: np.ndarray,
@@ -90,23 +160,22 @@ def phi_pr_from_marks(bundle: ProjectionBundle, marks: np.ndarray,
     odds induced by the other density factors, so the martingale property of
     the full density is exact; then rescales to stay strictly above -1.
     Sibling groups carrying no default mass are left unconstrained (the mark
-    is inert there).
+    is inert there).  A stack of marks (and of phi^o) is centered row by row.
     """
     tree = bundle.ext.base
-    phi_o_v = np.zeros(tree.n_nodes) if phi_o is None else node_values(tree, phi_o, "phi^o")
+    phi_o_v = np.zeros(tree.n_nodes) if phi_o is None else _node_rows(tree, phi_o, "phi^o")
     w = _default_step_weights(bundle, phi_o_v)
-    out = np.asarray(marks, dtype=float).copy()
-    out[1:] -= _children_mean(tree, w, out)[tree.parent[1:]]
-    lo = out.min(initial=0.0)
-    if lo <= -1.0:
-        out = out / (1.0 + abs(lo)) * 0.9  # keep strictly above -1
-    return out
+    out = np.array(marks, dtype=float)
+    out[..., 1:] -= np.take(_children_mean(tree, w, out), tree.parent[1:], axis=-1)
+    lo = np.min(out, axis=-1, keepdims=True, initial=0.0)
+    return np.where(lo <= -1.0, out / (1.0 + np.abs(lo)) * 0.9, out)  # strictly above -1
 
 
 @dataclass
 class PhiReport:
     ok: bool
     violations: list[str] = field(default_factory=list)
+    row: int | None = None              # the control reported, in its stack
 
     def __bool__(self) -> bool:
         return self.ok
@@ -116,79 +185,89 @@ def validate_phi(phi: PhiControl, bundle: ProjectionBundle,
                  tol: float = IDENTITY_TOL) -> PhiReport:
     """Check the admissibility inequalities atom-wise; report, never raise.
 
-    phi^pr > -1 on the graph; 1 + phi^o (1 - dGamma~) > 0 at default atoms
-    (the strict-positivity bound phi^o > -G~/G); phi^o dGamma~ < 1 wherever
-    the step carries default mass (positivity on the pre-default interval);
-    the mark phi^pr conditionally centered one step ahead under the one-step
-    default odds of the other density factors (the discrete membership
-    condition for the density to be a positive martingale); and
-    phi^o <= cap - 1 when a cap is attached.  A phi^o on another tree is not
-    a control of this problem and raises ``TreeError``.
+    phi^o and phi^pr finite at every node; phi^pr > -1 on the graph;
+    1 + phi^o (1 - dGamma~) > 0 at default atoms (the strict-positivity bound
+    phi^o > -G~/G); phi^o dGamma~ < 1 wherever the step carries default mass
+    (positivity on the pre-default interval); the mark phi^pr conditionally
+    centered one step ahead under the one-step default odds of the other
+    density factors (the discrete membership condition for the density to be
+    a positive martingale); and phi^o <= cap - 1 when a cap is attached.  A
+    phi^o on another tree is not a control of this problem and raises
+    ``TreeError``.  A stack is reported by its first inadmissible control,
+    whose position is ``row`` (0 for a single control).
     """
     ext = bundle.ext
     tree = ext.base
-    n = tree.n_periods
     dgt = bundle.dGammaTilde
-    phi_o = node_values(tree, phi.phi_o, "phi^o")
+    phi_o = phi.phi_o_nodes(tree)
+    marks = phi.phi_pr_nodes(ext)
     phi_pr = phi.phi_pr_atoms(ext)
-    viol: list[str] = []
-
-    default = ext.theta <= n
-    bad = default & (phi_pr <= -1.0)
-    if np.any(bad):
-        a = int(np.flatnonzero(bad)[0])
-        viol.append(f"phi^(pr) > -1 violated at atom {a} (value {phi_pr[a]:.6g})")
-
+    default = ext.theta <= tree.n_periods
     dnode = ext.default_node
-    jump = 1.0 + phi_o[dnode] * (1.0 - dgt[dnode])
-    bad = default & (jump <= 0.0)
-    if np.any(bad):
-        a = int(np.flatnonzero(bad)[0])
-        viol.append(f"phi^(o) > -G~/G violated at atom {a} "
-                    f"(default factor {jump[a]:.6g})")
-
-    live = dgt > 0.0
+    jump = 1.0 + np.take(phi_o, dnode, axis=-1) * (1.0 - dgt[dnode])
     surv = 1.0 - phi_o * dgt
-    bad_nodes = np.flatnonzero(live & (surv <= 0.0))
-    if bad_nodes.size:
-        v = int(bad_nodes[0])
-        viol.append(f"phi^(o) dGamma~ < 1 violated at node {v} "
-                    f"(survival factor {surv[v]:.6g})")
+    off = np.abs(_children_mean(tree, _default_step_weights(bundle, phi_o), marks))
+    over_cap = (phi_o > phi.cap - 1.0 + tol if phi.cap is not None
+                else np.zeros(tree.n_nodes, dtype=bool))
 
-    w = _default_step_weights(bundle, phi_o)
-    off = np.abs(_children_mean(tree, w, phi.phi_pr_nodes(ext)))
-    bad_nodes = np.flatnonzero(off > tol)
-    if bad_nodes.size:
-        lvl = tree.level_slice(int(tree.level_of[bad_nodes[0]]))
-        u = lvl.start + int(np.argmax(off[lvl]))
-        viol.append(f"phi^(pr) not conditionally centered below node {u} "
-                    f"(weighted mean {float(np.max(off[lvl])):.3g})")
-
-    if phi.cap is not None and np.any(phi_o > phi.cap - 1.0 + tol):
-        v = int(np.flatnonzero(phi_o > phi.cap - 1.0 + tol)[0])
-        viol.append(f"phi^(o) exceeds cap-1 at node {v}")
-
-    return PhiReport(not viol, viol)
+    checks = [  # (failing nodes or atoms, message on the first of them, its value)
+        (~np.isfinite(phi_o), "phi^(o) is not finite at node {}", None),
+        (~np.isfinite(marks), "phi^(pr) is not finite at node {}", None),
+        (default & (phi_pr <= -1.0), "phi^(pr) > -1 violated at atom {} (value {:.6g})", phi_pr),
+        (default & (jump <= 0.0),
+         "phi^(o) > -G~/G violated at atom {} (default factor {:.6g})", jump),
+        ((dgt > 0.0) & (surv <= 0.0),
+         "phi^(o) dGamma~ < 1 violated at node {} (survival factor {:.6g})", surv),
+        (off > tol, "phi^(pr) not conditionally centered below node {} "
+                    "(weighted mean {:.3g})", off),
+        (over_cap, "phi^(o) exceeds cap-1 at node {}", None),
+    ]
+    r, hits = _first_failure([np.any(bad, axis=-1) for bad, _, _ in checks])
+    if r is None:
+        return PhiReport(True)
+    violations = []
+    for (bad, message, value), hit in zip(checks, hits):
+        if hit:
+            i = int(np.argmax(_row(bad, r)))
+            if value is off:    # the largest mean on the level of the first one
+                lvl = tree.level_slice(int(tree.level_of[i]))
+                i = lvl.start + int(np.argmax(_row(off, r)[lvl]))
+            violations.append(message.format(i, None if value is None else _row(value, r)[i]))
+    return PhiReport(False, violations, r)
 
 
 @dataclass
 class DensityBundle:
     """eta^phi on the extension plus its atom measure and closed-form hazard
     increment, with the control and the reference-measure projections it was
-    built on.  The optional projection of eta is built on first use."""
+    built on; a stack of controls keeps its leading axis on ``eta``, ``qphi``
+    and ``d_lambda``.  What the rules read besides is built on first use."""
 
     phi: PhiControl
     reference: ProjectionBundle
-    eta: np.ndarray                     # (n_atoms, N+1)
+    eta: np.ndarray                     # ([K,] n_atoms, N+1)
     qphi: np.ndarray                    # Q^phi atom probabilities
     d_lambda: np.ndarray                # (1 + phi^o (1 - dGamma~)) dGamma~ per node
 
     @cached_property
-    def eta_o_proj(self) -> AdaptedProcess:
-        """E[eta_k | F_k] per node; read-only."""
-        proj = self.reference.ext.f_condexp(self.eta)
+    def eta_o_proj(self) -> np.ndarray:
+        """E[eta_k | F_k] per node, one ``f_condexp`` per control; read-only."""
+        ext = self.reference.ext
+        rows = self.eta.reshape(-1, ext.n_atoms, ext.base.n_periods + 1)
+        proj = np.array([ext.f_condexp(e) for e in rows])
+        proj = proj.reshape(self.eta.shape[:-2] + (ext.base.n_nodes,))
         proj.flags.writeable = False
-        return AdaptedProcess(self.reference.ext.base, proj)
+        return proj
+
+    @cached_property
+    def tilted(self) -> SurvivalTables:
+        """G, G~, dA^o and Gamma~ rebuilt under each Q^phi atom measure."""
+        return survival_tables(self.reference.ext, self.qphi)
+
+    @cached_property
+    def Lambda(self) -> np.ndarray:
+        """Lambda, the hazard under Q^phi summed from the closed-form increments."""
+        return forward(self.reference.ext.base, self.d_lambda, np.add, 0.0)
 
 
 def density_eta(phi: PhiControl, bundle: ProjectionBundle,
@@ -201,55 +280,59 @@ def density_eta(phi: PhiControl, bundle: ProjectionBundle,
     The control is checked with :func:`validate_phi` first; an inadmissible
     one raises ``AdmissibilityError``.  Re-verified to be a strictly positive
     G-martingale with eta_0 = 1 and E[eta_T] = 1; a failure raises
-    ``IdentityError`` since it cannot come from admissible input.
+    ``IdentityError`` since it cannot come from admissible input.  A stack is
+    built at once and checked control by control, in stack order.
     """
     ext = bundle.ext
     tree = ext.base
     n = tree.n_periods
     rep = validate_phi(phi, bundle, tol)
-    if not rep.ok:
-        raise AdmissibilityError("; ".join(rep.violations))
 
-    phi_o = node_values(tree, phi.phi_o, "phi^o")
+    phi_o = phi.phi_o_nodes(tree)
     dgt = bundle.dGammaTilde
     mf = bundle.market_factor                       # Z^F / E(N~), stopped at theta
     jump = 1.0 + phi_o * (1.0 - dgt)
     surv = forward(tree, 1.0 - phi_o * dgt, np.multiply, 1.0)
     dn = ext.default_node
-    post = surv[tree.parent[dn]] * jump[dn] * mf[dn] * (1.0 + phi.phi_pr_atoms(ext))
-    eta = (surv * mf)[ext.node_at]
-    np.copyto(eta, post[:, None], where=ext.theta[:, None] <= np.arange(n + 1))
-    if np.any(eta <= 0.0):
-        raise IdentityError("eta^phi not strictly positive despite admissible control")
-    if np.max(np.abs(eta[:, 0] - 1.0)) > tol:
-        raise IdentityError("eta_0 != 1")
-    total = float(np.dot(ext.prob, eta[:, n]))
-    if abs(total - 1.0) > 1e-10:
-        raise IdentityError(f"E[eta_T] = {total:.15g} != 1")
-    r = ext.g_martingale_residual(eta)
-    if r > 1e-10:
-        raise IdentityError(f"eta^phi is not a martingale (residual {r:.3g})")
+    at = lambda x, nodes: np.take(x, nodes, axis=-1)    # node axis last
+    post = at(surv, tree.parent[dn]) * at(jump, dn) * mf[dn] * (1.0 + phi.phi_pr_atoms(ext))
+    eta = at(surv * mf, ext.node_at)
+    np.copyto(eta, post[..., None], where=ext.theta[:, None] <= np.arange(n + 1))
 
-    return DensityBundle(phi, bundle, eta, ext.prob * eta[:, n], jump * dgt)
+    rows = eta.reshape(-1, ext.n_atoms, n + 1)
+    totals = np.array([np.dot(ext.prob, e[:, n]) for e in rows])
+    mart = np.array([ext.g_martingale_residual(e) for e in rows])
+    inadmissible = np.arange(len(rows)) == (-1 if rep.ok else rep.row)
+    _raise_first([
+        (inadmissible, AdmissibilityError, "; ".join(rep.violations), None),
+        (~(np.min(rows, axis=(1, 2)) > 0.0), IdentityError,
+         "eta^phi not strictly positive despite admissible control", None),
+        (~(np.max(np.abs(rows[:, :, 0] - 1.0), axis=1) <= tol), IdentityError,
+         "eta_0 != 1", None),
+        (~(np.abs(totals - 1.0) <= 1e-10), IdentityError, "E[eta_T] = {:.15g} != 1", totals),
+        (~(mart <= 1e-10), IdentityError,
+         "eta^phi is not a martingale (residual {:.3g})", mart),
+    ])
+    return DensityBundle(phi, bundle, eta, ext.prob * eta[..., n], jump * dgt)
 
 
 @dataclass
 class HazardPhiReport:
-    value: AdaptedProcess               # Lambda = Gamma~ under Q^phi (cumulative)
+    value: np.ndarray                   # Lambda = Gamma~ under Q^phi (cumulative)
     two_route_residual: float
     dual_projection_residual: float     # Eq. dA^{o,Qphi} = G~^phi dLambda
 
 
-def hazard_under_phi(dens: DensityBundle, tilted: ProjectionBundle,
-                     tol: float = IDENTITY_TOL) -> HazardPhiReport:
+def hazard_under_phi(dens: DensityBundle, tol: float = IDENTITY_TOL) -> HazardPhiReport:
     """Optional hazard of theta under Q^phi, two independent ways.
 
-    (a) the projections rebuilt under the tilted atom measure (``tilted`` is
-    ``projections(ext, dens.qphi)``) give the optional hazard; (b) the
-    closed-form increment (1 + phi^o (1 - dGamma~)) dGamma~.  Node-wise
-    agreement within ``tol`` is asserted (the identity is a theorem;
-    disagreement is an implementation bug).  Also cross-checks the
-    transformed dual projection increment.
+    (a) the survival tables rebuilt under the tilted atom measure
+    (``dens.tilted``, the mass table of ``projections`` under ``dens.qphi``)
+    give the optional hazard; (b) the closed-form increment
+    (1 + phi^o (1 - dGamma~)) dGamma~.  Node-wise agreement within ``tol`` is
+    asserted (the identity is a theorem; disagreement is an implementation
+    bug).  Also cross-checks the transformed dual projection increment.  A
+    stack gives one value row and one residual per control.
 
     The rule is a theorem only for controls whose post-default mark vanishes
     on the default support (the literal finite-space reading of the
@@ -257,68 +340,68 @@ def hazard_under_phi(dens: DensityBundle, tilted: ProjectionBundle,
     mass across default cells and genuinely change the hazard, so they are
     rejected here rather than reported as a failed identity.
     """
-    bundle = dens.reference
-    tree = bundle.ext.base
-    if not dens.phi.is_graph_trivial(bundle):
-        raise AdmissibilityError(
-            "hazard transformation rule needs a post-default mark that vanishes "
-            "on the default support")
-    lam = forward(tree, dens.d_lambda, np.add, 0.0)
-
-    r_main = float(np.max(np.abs(lam - tilted.GammaTilde.values)))
-    if r_main > tol:
-        raise IdentityError(f"hazard under Q^phi: formula and rebuilt projections "
-                            f"disagree by {r_main:.3g}")
-    r_dual = float(np.max(np.abs(tilted.dAo.values - tilted.Gtilde.values * dens.d_lambda)))
-    if r_dual > tol:
-        raise IdentityError(f"dual projection under Q^phi fails dA^o = G~ dLambda "
-                            f"by {r_dual:.3g}")
-    return HazardPhiReport(AdaptedProcess(tree, lam), r_main, r_dual)
+    trivial = dens.phi.is_graph_trivial(dens.reference)
+    tilted = dens.tilted
+    lam = dens.Lambda
+    r_main = np.max(np.abs(lam - tilted.GammaTilde), axis=-1)
+    r_dual = np.max(np.abs(tilted.dAo - tilted.Gtilde * dens.d_lambda), axis=-1)
+    _raise_first([
+        (~trivial, AdmissibilityError,
+         "hazard transformation rule needs a post-default mark that vanishes "
+         "on the default support", None),
+        (~(r_main <= tol), IdentityError,
+         "hazard under Q^phi: formula and rebuilt projections disagree by {:.3g}", r_main),
+        (~(r_dual <= tol), IdentityError,
+         "dual projection under Q^phi fails dA^o = G~ dLambda by {:.3g}", r_dual),
+    ])
+    return HazardPhiReport(lam, r_main, r_dual)
 
 
 @dataclass
 class GPhiReport:
-    value: AdaptedProcess
+    value: np.ndarray
     two_route_residual: float
     pseudo_stopping_residual: float     # max |o(eta) - Z^F|
 
 
-def G_under_phi(dens: DensityBundle, tilted: ProjectionBundle,
-                tol: float = IDENTITY_TOL) -> GPhiReport:
+def G_under_phi(dens: DensityBundle, tol: float = IDENTITY_TOL) -> GPhiReport:
     """Azema supermartingale under Q^phi, direct and via the density formula.
 
     Direct route: survival probability under the tilted atom measure
-    (``tilted`` is ``projections(ext, dens.qphi)``).
-    Formula route: o(eta^phi)^{-1} Z^F E(-Lambda) with discrete exponentials.
-    Agreement within ``tol`` is asserted.  The report also carries the
-    per-instance diagnostic comparing o(eta^phi) with Z^F = E(M^F): equality
-    means theta keeps the pseudo-stopping-time property under Q^phi (an open
-    question in general, so it is reported, never assumed).
+    (``dens.tilted``).  Formula route: o(eta^phi)^{-1} Z^F E(-Lambda) with
+    discrete exponentials.  Agreement within ``tol`` is asserted.  The report
+    also carries the per-instance diagnostic comparing o(eta^phi) with
+    Z^F = E(M^F): equality means theta keeps the pseudo-stopping-time property
+    under Q^phi (an open question in general, so it is reported, never
+    assumed).  A stack gives one value row and one residual per control.
     """
     tree = dens.reference.ext.base
-    direct = tilted.G.values
+    direct = dens.tilted.G
     e_lam = _path_exponential(tree, -dens.d_lambda)
-    formula = tree.density_zf() * e_lam / dens.eta_o_proj.values
+    formula = tree.density_zf() * e_lam / dens.eta_o_proj
 
-    r = float(np.max(np.abs(direct - formula)))
-    if r > tol:
-        raise IdentityError(f"G under Q^phi: direct and density-formula routes "
-                            f"disagree by {r:.3g}")
-    pseudo = float(np.max(np.abs(dens.eta_o_proj.values - tree.density_zf())))
-    return GPhiReport(AdaptedProcess(tree, direct), r, pseudo)
+    r = np.max(np.abs(direct - formula), axis=-1)
+    _raise_first([(~(r <= tol), IdentityError,
+                   "G under Q^phi: direct and density-formula routes disagree by {:.3g}", r)])
+    pseudo = np.max(np.abs(dens.eta_o_proj - tree.density_zf()), axis=-1)
+    return GPhiReport(direct, r, pseudo)
 
 
-def compensated_default_residual(dens: DensityBundle) -> float:
-    """Max Q^phi-conditional increment of A - Lambda^theta (zero is the theorem).
+def compensated_default_residual(dens: DensityBundle):
+    """Max Q^phi-conditional increment of A - Lambda^theta (zero is the theorem),
+    one per control of a stack, each from its own G-projection.
 
     Like the hazard rule itself, exact only on the subfamily with a
     graph-trivial post-default mark.
     """
     bundle = dens.reference
     ext = bundle.ext
-    if not dens.phi.is_graph_trivial(bundle):
-        raise AdmissibilityError(
-            "compensated-default check needs a graph-trivial post-default mark")
-    lam = forward(ext.base, dens.d_lambda, np.add, 0.0)
-    m_g_phi = ext.indicator() - lam[ext.stopped_node]
-    return ext.g_martingale_residual(m_g_phi, dens.qphi)
+    _raise_first([(~dens.phi.is_graph_trivial(bundle), AdmissibilityError,
+                   "compensated-default check needs a graph-trivial post-default mark",
+                   None)])
+    ind = ext.indicator()
+    lam = dens.Lambda.reshape(-1, ext.base.n_nodes)
+    qphi = dens.qphi.reshape(-1, ext.n_atoms)
+    res = np.array([ext.g_martingale_residual(ind - lam_r[ext.stopped_node], q)
+                    for lam_r, q in zip(lam, qphi)])
+    return res.reshape(dens.qphi.shape[:-1])[()]

@@ -364,32 +364,75 @@ def _up_sums(tree: FiniteTree, leaf_rows: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass
+class SurvivalTables:
+    """G, G~, dA^o and Gamma~ at every node under one atom measure, or under
+    each measure of a stack (leading axes; the node axis is last), with the
+    mass table ``M`` and its suffix sums ``S`` they are read from, shaped
+    (node, measure, theta)."""
+
+    M: np.ndarray
+    S: np.ndarray
+    G: np.ndarray
+    Gtilde: np.ndarray
+    dAo: np.ndarray
+    GammaTilde: np.ndarray
+
+
+def survival_tables(ext: ExtendedSpace, weights: np.ndarray | None = None) -> SurvivalTables:
+    """The survival processes and the optional hazard off one mass table per
+    measure: M[v, j] is the mass of the atoms through node v with theta = t_j
+    (column N+1 for "after T"), from one ``bincount`` over (leaf, theta)
+    summed up the tree one level at a time.  ``weights`` defaults to the
+    extension's own measure; a stack of measures on leading axes shares the
+    one ``bincount`` and the one upward sum, and each measure gets bitwise
+    what it would get alone.
+    """
+    tree = ext.base
+    n = tree.n_periods
+    w = ext.prob if weights is None else np.asarray(weights, dtype=float)
+    stack = w.shape[:-1]
+    count = int(np.prod(stack))
+    cols = n + 2
+    # one bin per (leaf, measure, theta): leaf rows first for the upward sum
+    ids = np.arange(count)[:, None] * cols + np.minimum(ext.theta, n + 1)
+    ids += ext.leaf_row * (count * cols)
+    leaf = np.bincount(ids.ravel(), weights=w.ravel(), minlength=tree.leaves.size * count * cols)
+    M = _up_sums(tree, leaf.reshape(tree.leaves.size, -1)).reshape(tree.n_nodes, count, cols)
+    S = np.cumsum(M[..., ::-1], axis=-1)[..., ::-1]     # S[v, j]: the mass with theta >= t_j
+    mass = S[:, :, 0]
+    if np.any(mass <= 0.0):
+        k = int(tree.level_of[np.argmax(np.any(mass <= 0.0, axis=1))])
+        raise HazardError(f"F_{k} cell with zero mass (measure not equivalent)")
+
+    v, k = np.arange(tree.n_nodes), tree.level_of
+    G = S[v, :, k + 1] / mass
+    Gt = S[v, :, k] / mass
+    dAo = M[v, :, k] / mass
+    if np.any(G[tree.parent[1:]] <= 0.0):
+        raise HazardError("Azema supermartingale hits zero before the horizon "
+                          "(Assumption of strict positivity violated)")
+    if np.any(Gt[1:] <= 0.0):
+        raise HazardError("optional survival process hits zero")
+    G, Gt, dAo = (x.T.reshape(stack + (tree.n_nodes,)) for x in (G, Gt, dAo))
+    return SurvivalTables(M, S, G, Gt, dAo, forward(tree, dAo / Gt, np.add, 0.0))
+
+
 def projections(ext: ExtendedSpace, weights: np.ndarray | None = None) -> ProjectionBundle:
     """Compute G, G~, A^o, A^p, Gamma, Gamma~, m, n, m^G, n^G on the extension.
 
     ``weights`` overrides the atom measure (used to redo everything under an
     equivalent measure); defaults to the extension's own measure.  Every
-    F-projection is read off one mass table M[v, j], the mass of the atoms
-    through node v with theta = t_j (column N+1 for "after T").
+    F-projection is read off the mass table of :func:`survival_tables`.
     """
     tree = ext.base
     n = tree.n_periods
     w = ext.prob if weights is None else np.asarray(weights, dtype=float)
-    cols = n + 2
-    M = _up_sums(tree, np.bincount(ext.leaf_row * cols + np.minimum(ext.theta, n + 1),
-                                   weights=w, minlength=tree.leaves.size * cols
-                                   ).reshape(-1, cols))
-    S = np.cumsum(M[:, ::-1], axis=1)[:, ::-1]     # S[v, j]: the mass with theta >= t_j
+    sv = survival_tables(ext, w)
+    M, S, G, dAo = sv.M[:, 0], sv.S[:, 0], sv.G, sv.dAo
     mass = S[:, 0]
-    if np.any(mass <= 0.0):
-        k = int(tree.level_of[np.argmax(mass <= 0.0)])
-        raise HazardError(f"F_{k} cell with zero mass (measure not equivalent)")
 
-    v, k = np.arange(tree.n_nodes), tree.level_of
     up, ku = tree.parent[1:], tree.level_of[1:]
-    G = S[v, k + 1] / mass
-    Gt = S[v, k] / mass
-    dAo = M[v, k] / mass
     # read at the parent: the mass defaulting at t_k, and the mass beyond t_k,
     # which makes pG = E[G_k | F_{k-1}] the child-mass-weighted mean of G
     dAp = np.zeros(tree.n_nodes)
@@ -398,17 +441,11 @@ def projections(ext: ExtendedSpace, weights: np.ndarray | None = None) -> Projec
     pG[0] = G[0]
     pG[1:] = S[up, ku + 1] / mass[up]
 
-    if np.any(G[up] <= 0.0):
-        raise HazardError("Azema supermartingale hits zero before the horizon "
-                          "(Assumption of strict positivity violated)")
-    if np.any(Gt[1:] <= 0.0):
-        raise HazardError("optional survival process hits zero")
     Ao = forward(tree, dAo, np.add, 0.0)
     Ap = forward(tree, dAp, np.add, 0.0)
     dGam = np.zeros(tree.n_nodes)
     dGam[1:] = dAp[1:] / G[up]
     Gam = forward(tree, dGam, np.add, 0.0)
-    Gamt = forward(tree, dAo / Gt, np.add, 0.0)
 
     # closing martingales of the dual projections (sentinel mass G_N lives after T)
     leaves = tree.level_slice(n)
@@ -416,8 +453,8 @@ def projections(ext: ExtendedSpace, weights: np.ndarray | None = None) -> Projec
     m, nn = (_up_sums(tree, closing * mass[leaves, None]) / mass[:, None]).T
 
     P = lambda x: AdaptedProcess(tree, x)
-    return ProjectionBundle(ext, w, P(G), P(Gt), P(Ao), P(Ap), P(dAo), P(dAp),
-                            P(Gam), P(Gamt), P(m), P(nn), P(pG))
+    return ProjectionBundle(ext, w, P(G), P(sv.Gtilde), P(Ao), P(Ap), P(dAo), P(dAp),
+                            P(Gam), P(sv.GammaTilde), P(m), P(nn), P(pG))
 
 
 # --------------------------------------------------------------------------

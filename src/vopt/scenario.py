@@ -191,6 +191,8 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     with _section("phi"):
         phi_seed = _whole(phi_raw.get("seed", 20240901), "phi.seed")
         phi_count = _whole(phi_raw.get("count", 10), "phi.count")
+        if phi_count < 0:
+            raise ScenarioError(f"phi.count: {phi_count} is negative")
 
     suites = raw.get("suites", list(ALL_SUITES))
     for s in suites:

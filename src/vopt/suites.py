@@ -5,6 +5,15 @@ for the batch identity checks) and returns its worst residual against the
 scenario tolerances.  Suites run one after another in declaration order, and
 the report leaves timings out, so it is byte-stable across runs.  A NaN or
 infinite residual fails its suite.
+
+``measure-change`` draws the ``phi.count`` random controls of each instance
+as one stack (``random_phi(..., count=)``, in the generator order of single
+draws) and checks them together: one density build, one set of survival
+tables under the K tilted measures and one pass of each rule, each row
+bitwise what its control gives alone.  The martingale residuals and
+E[eta | F] behind those checks still run once per control, through the
+per-atom Bayes sums of ``ExtendedSpace``: they are the independent route
+the stacked arithmetic is checked against, so they keep their own layout.
 """
 
 from __future__ import annotations
@@ -118,15 +127,15 @@ def suite_martingale_transforms(sc: Scenario) -> SuiteResult:
                        {"instances": count})
 
 
-def _qphi_residuals(bundle, phi, tol: float) -> tuple[float, ...]:
-    """The Q^phi rules for one control: its density and the projections
-    rebuilt under it are built once and shared by the three checks."""
+def _qphi_residuals(bundle, phi, tol: float) -> np.ndarray:
+    """The four Q^phi residuals of every control in the stack ``phi``, one
+    column per control: its densities, and the survival tables rebuilt under
+    them, are built once and shared by the three checks."""
     dens = density_eta(phi, bundle)
-    tilted = projections(bundle.ext, dens.qphi)
-    hz_rep = hazard_under_phi(dens, tilted, tol=tol)
-    g_rep = G_under_phi(dens, tilted, tol=tol)
-    return (hz_rep.two_route_residual, hz_rep.dual_projection_residual,
-            g_rep.two_route_residual, compensated_default_residual(dens))
+    hz_rep = hazard_under_phi(dens, tol=tol)
+    g_rep = G_under_phi(dens, tol=tol)
+    return np.array([hz_rep.two_route_residual, hz_rep.dual_projection_residual,
+                     g_rep.two_route_residual, compensated_default_residual(dens)])
 
 
 def suite_measure_change(sc: Scenario) -> SuiteResult:
@@ -135,10 +144,9 @@ def suite_measure_change(sc: Scenario) -> SuiteResult:
     worst = 0.0
     details: dict = {"controls": 0}
     for tree, bundle in _family_instances(sc):
-        for _ in range(sc.phi_count):
-            phi = random_phi(rng, bundle, with_pr=False)
-            worst = _worst(worst, *_qphi_residuals(bundle, phi, tol))
-            details["controls"] += 1
+        phi = random_phi(rng, bundle, with_pr=False, count=sc.phi_count)
+        worst = _worst(worst, *_qphi_residuals(bundle, phi, tol).ravel())
+        details["controls"] += sc.phi_count
     # post-default marks: the density stays an exact martingale and the
     # pre-default option values E^{Q^phi}[payoff | G_k] on theta > k, read
     # from the direct conditional expectation under each mark's measure, are

@@ -49,7 +49,10 @@ def test_report_has_no_backend_key_and_is_byte_stable(golden_run, tmp_path, caps
 
 # SHA-256 of the packaged scenario's value, strategy and bundle tables.  Each
 # is built from elementwise arithmetic, bincount, reduceat, cumsum and cumprod
-# only (no BLAS, no transcendental function), printed with '%.17g'.
+# only (no BLAS, no transcendental function), printed with '%.17g'.  The
+# report's residuals also pass through np.sin, np.cos and np.dot in a few
+# suites, so its digest is that of one numpy build (2.4 on x86-64): a
+# different build may move a last digit there without any change here.
 GOLDEN_SHA256 = {
     "values_constrained_snell.csv":
         "3797f9a7753ca215c15f0d0cab0004c401885c8f82f02eb81d83583df881099a",
@@ -58,6 +61,8 @@ GOLDEN_SHA256 = {
     "values_game.csv": "49f6a8dc7986228f33541f129875168a05e61e911361acf09467bf7958abc030",
     "strategies_game.csv": "217a19878a0f13fc25fd76f76d0d6a464086a73335142aa26c3305388d77ecca",
     "bundle.csv": "9279455c348d05d80da96faee0c69b510393e69c86027278dcf4195bbdf5aa2a",
+    # every suite's residual digits, so a changed residual shows
+    "report.json": "fdc1c887a1f2ef90b905e77a2e9987888469e36a359fc2c411e26b970871c410",
 }
 
 
@@ -92,6 +97,7 @@ BAD_INPUTS = {
     "fractional penalty level": _set(["penalty_ladder"], [1, 2.5, 4]),
     "non-numeric penalty level": _set(["penalty_ladder"], [1, "x"]),
     "non-numeric phi count": _set(["phi", "count"], "ten"),
+    "negative phi count": _set(["phi", "count"], -3),
     "null random_family instances": _set(["random_family", "instances"], None),
 }
 

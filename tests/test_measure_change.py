@@ -1,9 +1,12 @@
 """Admissibility, densities, and the transformation rules under Q^phi."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from vopt.errors import AdmissibilityError
+import vopt
+from vopt.errors import AdmissibilityError, IdentityError
 from vopt.filtration import AdaptedProcess, build_tree, forward
 from vopt.instances import (random_extension, random_hazard_h, random_payoff, random_phi,
                             random_tree)
@@ -12,6 +15,7 @@ from vopt.measure_change import (G_under_phi, PhiControl, compensated_default_re
                                  validate_phi)
 from vopt.random_time import (ExtendedSpace, HazardSpec, cox_extend, full_price_assembly,
                               projections)
+from vopt.scenario import parse_scenario
 
 TOL = 1e-12
 
@@ -29,9 +33,13 @@ def zero_phi(tree):
 
 
 def under_phi(b, phi):
-    """The density of Q^phi and the projections rebuilt under it."""
+    """The density of Q^phi; the survival tables its rules read are the
+    projections rebuilt under it."""
     dens = density_eta(phi, b)
-    return dens, projections(b.ext, dens.qphi)
+    tilted = projections(b.ext, dens.qphi)
+    for name in ("G", "Gtilde", "dAo", "GammaTilde"):
+        assert np.array_equal(getattr(dens.tilted, name), getattr(tilted, name).values)
+    return dens
 
 
 def test_bundle_factors_are_built_once_read_only_and_equal_the_formulas():
@@ -67,8 +75,8 @@ def test_density_projection_is_built_on_first_use(monkeypatch):
         assert not calls and "eta_o_proj" not in vars(dens)
         proj = dens.eta_o_proj
         assert dens.eta_o_proj is proj and len(calls) == 1
-        assert not proj.values.flags.writeable
-        assert np.array_equal(proj.values, f_condexp(b.ext, dens.eta))
+        assert not proj.flags.writeable
+        assert np.array_equal(proj, f_condexp(b.ext, dens.eta))
         calls.clear()
 
 
@@ -126,6 +134,45 @@ def test_survival_factor_violation():
     rep = validate_phi(phi, projections(ext))
     assert not rep.ok
     assert any("dGamma~ < 1" in v for v in rep.violations)
+
+
+def packaged_bundle():
+    return parse_scenario(str(Path(vopt.__file__).parent / "scenarios"
+                              / "paper_regression.json")).bundle
+
+
+def test_nan_phi_o_is_a_violation_at_its_node():
+    b = packaged_bundle()
+    phi_o = np.zeros(b.ext.base.n_nodes)
+    phi_o[3] = np.nan
+    phi = PhiControl(AdaptedProcess(b.ext.base, phi_o))
+    rep = validate_phi(phi, b)
+    assert not rep.ok and rep.violations == ["phi^(o) is not finite at node 3"]
+    with pytest.raises(AdmissibilityError, match="not finite at node 3"):
+        density_eta(phi, b)
+
+
+def test_nan_phi_pr_is_a_violation_at_its_node():
+    b = packaged_bundle()
+    marks = np.zeros(b.ext.base.n_nodes)
+    marks[5] = np.nan
+    phi = PhiControl(AdaptedProcess.constant(b.ext.base, 0.0), marks)
+    rep = validate_phi(phi, b)
+    assert not rep.ok and rep.violations == ["phi^(pr) is not finite at node 5"]
+    with pytest.raises(AdmissibilityError, match="not finite at node 5"):
+        density_eta(phi, b)
+
+
+def test_nan_residual_fails_the_rules():
+    # every raise check reads "not (residual <= bound)", so NaN raises
+    b = packaged_bundle()
+    dens = density_eta(zero_phi(b.ext.base), b)
+    dens.d_lambda = dens.d_lambda.copy()
+    dens.d_lambda[4] = np.nan
+    with pytest.raises(IdentityError, match="disagree by nan"):
+        hazard_under_phi(dens)
+    with pytest.raises(IdentityError, match="disagree by nan"):
+        G_under_phi(dens)
 
 
 def test_cap_enforced():
@@ -205,17 +252,17 @@ def test_positivity_iff_validation():
 def test_hazard_rule_identity_control():
     tree, ext = one_period_ext(h=0.5)
     b = projections(ext)
-    rep = hazard_under_phi(*under_phi(b, zero_phi(tree)))
-    assert np.max(np.abs(rep.value.values - b.GammaTilde.values)) <= TOL
+    rep = hazard_under_phi(under_phi(b, zero_phi(tree)))
+    assert np.max(np.abs(rep.value - b.GammaTilde.values)) <= TOL
 
 
 def test_hazard_rule_hand_increment():
     # 1-period h = 0.5, phi^(o) = 1 -> dLambda = (1 + (1 - dG~)) dG~
     tree, ext = one_period_ext(h=0.5)
     b = projections(ext)
-    rep = hazard_under_phi(*under_phi(b, PhiControl(AdaptedProcess.constant(tree, 1.0))))
+    rep = hazard_under_phi(under_phi(b, PhiControl(AdaptedProcess.constant(tree, 1.0))))
     dgt = b.dGammaTilde[1]
-    assert rep.value.values[1] == pytest.approx((1.0 + (1.0 - dgt)) * dgt, abs=TOL)
+    assert rep.value[1] == pytest.approx((1.0 + (1.0 - dgt)) * dgt, abs=TOL)
     assert rep.two_route_residual <= TOL
     assert rep.dual_projection_residual <= TOL
 
@@ -227,9 +274,9 @@ def test_hazard_rule_near_continuous_limit():
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.02))
     b = projections(ext)
     phi = PhiControl(AdaptedProcess.constant(tree, 0.7))
-    rep = hazard_under_phi(*under_phi(b, phi))
+    rep = hazard_under_phi(under_phi(b, phi))
     approx = (1.0 + 0.7) * b.GammaTilde.values
-    assert np.max(np.abs(rep.value.values - approx)) < 0.02 * approx.max()
+    assert np.max(np.abs(rep.value - approx)) < 0.02 * approx.max()
 
 
 def test_two_route_rules_random_controls():
@@ -240,9 +287,9 @@ def test_two_route_rules_random_controls():
         b = projections(ext)
         for _ in range(4):
             phi = random_phi(rng, b, with_pr=False)
-            dens, tilted = under_phi(b, phi)
-            h_rep = hazard_under_phi(dens, tilted)
-            g_rep = G_under_phi(dens, tilted)
+            dens = under_phi(b, phi)
+            h_rep = hazard_under_phi(dens)
+            g_rep = G_under_phi(dens)
             assert h_rep.two_route_residual <= TOL
             assert h_rep.dual_projection_residual <= TOL
             assert g_rep.two_route_residual <= TOL
@@ -252,17 +299,17 @@ def test_two_route_rules_random_controls():
 def test_g_rule_trivial_control_recovers_g():
     tree, ext = one_period_ext(h=0.3)
     b = projections(ext)
-    rep = G_under_phi(*under_phi(b, zero_phi(tree)))
-    assert np.max(np.abs(rep.value.values - b.G.values)) <= TOL
+    rep = G_under_phi(under_phi(b, zero_phi(tree)))
+    assert np.max(np.abs(rep.value - b.G.values)) <= TOL
 
 
 def test_g_rule_independent_hazard_deterministic():
     tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
     ext = cox_extend(tree, HazardSpec.constant(tree, 0.4))
     phi = PhiControl(AdaptedProcess.constant(tree, 0.5))
-    rep = G_under_phi(*under_phi(projections(ext), phi))
+    rep = G_under_phi(under_phi(projections(ext), phi))
     # one-step survival under the tilt: 1 - (1 + 0.5(1 - 0.4)) 0.4 = 0.48
-    lvl = rep.value.values[tree.level_slice(2)]
+    lvl = rep.value[tree.level_slice(2)]
     assert np.allclose(lvl, 0.48 ** 2, atol=TOL)
 
 
@@ -277,7 +324,7 @@ def test_pseudo_stopping_diagnostic():
     tree = random_tree(rng, max_periods=3, with_density=False)
     b = projections(cox_extend(tree, HazardSpec.constant(tree, 0.3)))
     phi = random_phi(rng, b, with_pr=False)
-    rep = G_under_phi(*under_phi(b, phi))
+    rep = G_under_phi(under_phi(b, phi))
     assert looks_pseudo_stopping(rep)
     # with a nontrivial market density the stopped factor freezes at theta
     # while Z^F keeps moving, so the equality generally fails (open question:
@@ -285,7 +332,7 @@ def test_pseudo_stopping_diagnostic():
     tree2 = random_tree(rng, max_periods=3, with_density=True)
     b2 = projections(cox_extend(tree2, HazardSpec.constant(tree2, 0.3)))
     phi2 = random_phi(rng, b2, with_pr=False)
-    rep2 = G_under_phi(*under_phi(b2, phi2))
+    rep2 = G_under_phi(under_phi(b2, phi2))
     assert rep2.two_route_residual <= TOL   # the rule holds regardless
     assert not looks_pseudo_stopping(rep2)
 
@@ -298,9 +345,9 @@ def test_hazard_rule_rejects_mark_on_default_support():
     phi = random_phi(rng, b, with_pr=True)
     if phi.is_graph_trivial(b):
         pytest.skip("sampled mark is inert on this instance")
-    dens, tilted = under_phi(b, phi)
+    dens = under_phi(b, phi)
     with pytest.raises(AdmissibilityError, match="mark"):
-        hazard_under_phi(dens, tilted)
+        hazard_under_phi(dens)
     with pytest.raises(AdmissibilityError, match="mark"):
         compensated_default_residual(dens)
 
