@@ -41,7 +41,7 @@ def _emit_run_artifacts(sc: Scenario, report: RunReport, out_dir: str) -> None:
         written.add(name)
 
     emit("report.json", reports.to_json(report.to_dict()) + "\n")
-    emit("bundle.csv", reports.bundle_csv(sc.bundle))
+    emit("bundle.csv", reports.bundle_csv(sc.cox_form))
     emit("values_constrained_snell.csv",
          reports.process_csv(sc.snell.value, "constrained_snell"))
     emit("values_american_upper.csv", reports.process_csv(sc.upper.value, "american_upper"))

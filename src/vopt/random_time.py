@@ -38,6 +38,14 @@ and G~ are suffix sums at the node's level, dA^o its column, dA^p and pG the
 parent's column and suffix; m and n are one upward sum of leaf values times
 leaf masses.  ``projections-identities`` checks it against ``f_condexp``.
 
+``cox_closed_form`` is a third route for a Cox random time, with no atoms:
+G is the path product of the one-step survival probabilities 1 - h, and the
+other seven columns follow by sums along paths and P-means over children.
+``bundle.csv`` is written from it on every run, so a run builds atoms only
+for the suites that read them, and ``projections-identities`` checks the
+scenario's atom bundle against it.  It calls neither ``cox_extend`` nor
+``projections``, and they never call it.
+
 ``key_lemma`` answers E[X_theta | G_t] for every t at once: one F-projection
 of the tail sums of all times and one G-projection of X_theta make the whole
 (atom, time) table.
@@ -51,8 +59,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HazardError, IdentityError, TreeError
-from .filtration import (AdaptedProcess, FiniteTree, StoppingTime, _vals, forward,
-                         node_values)
+from .filtration import (AdaptedProcess, FiniteTree, StoppingTime, _vals, backward,
+                         forward, node_values)
 
 IDENTITY_TOL = 1e-12
 
@@ -455,6 +463,74 @@ def projections(ext: ExtendedSpace, weights: np.ndarray | None = None) -> Projec
     P = lambda x: AdaptedProcess(tree, x)
     return ProjectionBundle(ext, w, P(G), P(sv.Gtilde), P(Ao), P(Ap), P(dAo), P(dAp),
                             P(Gam), P(sv.GammaTilde), P(m), P(nn), P(pG))
+
+
+# --------------------------------------------------------------------------
+# Closed form of a Cox random time
+# --------------------------------------------------------------------------
+
+BUNDLE_COLUMNS = ("G", "Gtilde", "Ao", "Ap", "Gamma", "GammaTilde", "m", "n")
+
+
+@dataclass(frozen=True)
+class CoxClosedForm:
+    """The survival processes of a Cox random time, one value per tree node:
+    the ``BUNDLE_COLUMNS`` of ``bundle.csv``."""
+
+    tree: FiniteTree
+    G: np.ndarray
+    Gtilde: np.ndarray
+    Ao: np.ndarray
+    Ap: np.ndarray
+    Gamma: np.ndarray
+    GammaTilde: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+
+
+def cox_closed_form(tree: FiniteTree, hz: HazardSpec) -> CoxClosedForm:
+    """G, G~, A^o, A^p, Gamma, Gamma~, m and n of ``cox_extend(tree, hz)`` on
+    the nodes, without building its atoms (the discrete form of Lando 1998).
+
+    h is the hazard of the step into a node: the parent's for decision
+    timing, the node's own for arrival timing, and 1 on the last step without
+    terminal absorption.  G is the path product of 1 - h, G~ = G_-, and
+    dA^o = G~ h.  dA^p is the P-mean of dA^o over the node's siblings;
+    Gamma and Gamma~ sum dA^p / G_- and dA^o / G~ along the path; m and n are
+    the P-backward sweeps of A^o + G and A^p + G.  Each P-mean divides by the
+    P-mass of its sibling group, as the atom route divides by node masses, so
+    a constant is its own mean: with h = 0 every column is bitwise that of
+    ``projections(cox_extend(tree, hz))``.
+    """
+    if hz.h.shape != (tree.n_nodes,):
+        raise HazardError("hazard needs one value per node")
+    n = tree.n_periods
+    up = tree.parent[1:]
+    h = np.zeros(tree.n_nodes)
+    h[1:] = hz.h[up] if hz.timing == "decision" else hz.h[1:]
+    if not hz.terminal_absorption:
+        h[tree.level_slice(n)] = 1.0
+    G = forward(tree, 1.0 - h, np.multiply, 1.0)
+    Gt = _prev_values(tree, G, 1.0)
+    dAo = Gt * h
+
+    # per inner node, the P-mass of its children and the P-sum of their dA^o:
+    # the children of the inner nodes, in order, are the nodes 1, 2, ...
+    first = tree.first_child[:int(tree.level_start[n])] - 1
+    p = tree.p_edge[1:]
+    child_mass = np.add.reduceat(p, first)
+    dAp = np.zeros(tree.n_nodes)
+    dAp[1:] = (np.add.reduceat(p * dAo[1:], first) / child_mass)[up]
+    dGam = np.zeros(tree.n_nodes)
+    dGam[1:] = dAp[1:] / G[up]
+
+    Ao = forward(tree, dAo, np.add, 0.0)
+    Ap = forward(tree, dAp, np.add, 0.0)
+    p_mean = lambda sl, e: e / child_mass[sl]
+    return CoxClosedForm(tree, G, Gt, Ao, Ap, forward(tree, dGam, np.add, 0.0),
+                         forward(tree, dAo / Gt, np.add, 0.0),
+                         backward(tree, Ao + G, p_mean, "P"),
+                         backward(tree, Ap + G, p_mean, "P"))
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .filtration import AdaptedProcess
+from .random_time import BUNDLE_COLUMNS, CoxClosedForm
 
 BLOCK_ROWS = 512
 
@@ -89,13 +90,12 @@ def table_csv(tree, columns: dict[str, np.ndarray]) -> str:
             ["%d", str(k), fmt(tree.grid.times[k])] + ["%.17g"] * len(cols)) + "\n"))
 
 
-def bundle_csv(bundle) -> str:
-    return table_csv(bundle.ext.base, {
-        "G": bundle.G.values, "Gtilde": bundle.Gtilde.values,
-        "Ao": bundle.Ao.values, "Ap": bundle.Ap.values,
-        "Gamma": bundle.Gamma.values, "GammaTilde": bundle.GammaTilde.values,
-        "m": bundle.m.values, "n": bundle.n.values,
-    })
+def bundle_csv(form: CoxClosedForm) -> str:
+    """The scenario's survival processes, one column per ``BUNDLE_COLUMNS``
+    entry, from their closed form (``random_time.cox_closed_form``): a run
+    builds no atoms for this table.  ``projections-identities`` checks the
+    atom route against the same closed form."""
+    return table_csv(form.tree, {name: getattr(form, name) for name in BUNDLE_COLUMNS})
 
 
 def strategy_csv(tree, stops: dict[str, np.ndarray]) -> str:

@@ -11,6 +11,7 @@ Fixtures are plain JSON so regressions diff cleanly.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -23,7 +24,8 @@ from .errors import ScenarioError
 from .european import EuroSolveReport, PayoffSpec, ReducedHazard, constrained_snell
 from .filtration import AdaptedProcess, FiniteTree, build_tree
 from .instances import random_extension, random_tree
-from .random_time import HazardSpec, ProjectionBundle, cox_extend, projections
+from .random_time import (CoxClosedForm, HazardSpec, ProjectionBundle, cox_closed_form,
+                          cox_extend, projections)
 
 DEFAULT_TOLERANCES = {
     "identity": 1e-12,
@@ -50,11 +52,15 @@ ALL_SUITES = [
 class Scenario:
     """A parsed scenario.  What the suites check and the CLI writes out is
     built once a run, on first use, and shared, so nothing may write into
-    its arrays: ``bundle`` for the scenario's own Cox extension,
-    ``family_bundles`` for the seeded random family, and the three limit
-    problems ``snell``, ``upper`` and ``game``.  A variant with other
-    inputs is a new ``Scenario`` (``dataclasses.replace``), never a copy,
-    so no cached value carries over."""
+    its arrays: ``cox_form`` for the closed form of the scenario's Cox
+    survival processes, ``bundle`` for the projections of its atom
+    extension, ``family_bundles`` for the seeded random family, and the
+    three limit problems ``snell``, ``upper`` and ``game``.  ``bundle.csv``
+    is always written from ``cox_form``; the atoms are built only when a
+    suite reads them, and ``projections-identities`` checks them against
+    the same closed form.  A variant with other inputs is a new ``Scenario``
+    (``dataclasses.replace``), never a copy, so no cached value carries
+    over."""
 
     name: str
     tree: FiniteTree
@@ -69,6 +75,11 @@ class Scenario:
     family: dict | None
     output_dir: str
     raw: dict = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def cox_form(self) -> CoxClosedForm:
+        """The Cox survival processes in closed form on the nodes."""
+        return cox_closed_form(self.tree, self.hazard_h)
 
     @cached_property
     def bundle(self) -> ProjectionBundle:
@@ -160,70 +171,92 @@ def _section(name: str):
         raise ScenarioError(f"{name}: {e}") from e
 
 
-def _whole(x, where: str) -> int:
-    """An integer input; a float is accepted only when it is a whole number."""
+def _whole(x, where: str, low: int | None = None) -> int:
+    """An integer input of at least ``low``; a float is accepted only when it
+    is a whole number, and a string or a boolean never."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ScenarioError(f"{where}: {x!r} is not a number")
     if isinstance(x, float) and not x.is_integer():
         raise ScenarioError(f"{where}: {x!r} is not a whole number")
+    if low is not None and x < low:
+        raise ScenarioError(f"{where}: {int(x)} is " +
+                            ("negative" if low == 0 else f"below {low}"))
     return int(x)
 
 
+def _object(raw: dict, key: str) -> dict:
+    """The section ``key``, which must be a JSON object; absent, it is empty."""
+    sec = raw.get(key, {})
+    if not isinstance(sec, dict):
+        raise ScenarioError(f"{key}: expected an object")
+    return sec
+
+
 def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
+    if not isinstance(raw, dict):
+        raise ScenarioError("a scenario must be a JSON object")
     if "tree" not in raw:
         raise ScenarioError("missing 'tree' section")
     with _section("tree"):
-        tree = build_tree(raw["tree"])
+        tree = build_tree(_object(raw, "tree"))
 
-    hz_raw = raw.get("hazard", {})
+    hz_raw = _object(raw, "hazard")
     with _section("hazard"):
+        absorb = hz_raw.get("terminal_absorption", True)
+        if not isinstance(absorb, bool):
+            raise ScenarioError(f"hazard.terminal_absorption: {absorb!r} is not true or false")
         hazard_h = HazardSpec(_node_table(tree, hz_raw.get("h", 0.0), "hazard.h"),
                               timing=hz_raw.get("timing", "decision"),
-                              terminal_absorption=hz_raw.get("terminal_absorption", True))
+                              terminal_absorption=absorb)
         hazard_delta = ReducedHazard(tree, _node_table(tree, hz_raw.get("delta", 0.0),
                                                        "hazard.delta"))
 
-    pay_raw = raw.get("payoff", {})
+    pay_raw = _object(raw, "payoff")
     with _section("payoff"):
         payoff = PayoffSpec(
             AdaptedProcess(tree, _node_table(tree, pay_raw.get("P", 1.0), "payoff.P")),
             AdaptedProcess(tree, _node_table(tree, pay_raw.get("R", 1.0), "payoff.R")))
 
-    phi_raw = raw.get("phi", {})
-    with _section("phi"):
-        phi_seed = _whole(phi_raw.get("seed", 20240901), "phi.seed")
-        phi_count = _whole(phi_raw.get("count", 10), "phi.count")
-        if phi_count < 0:
-            raise ScenarioError(f"phi.count: {phi_count} is negative")
+    phi_raw = _object(raw, "phi")
+    phi_seed = _whole(phi_raw.get("seed", 20240901), "phi.seed", 0)
+    phi_count = _whole(phi_raw.get("count", 10), "phi.count", 0)
 
     suites = raw.get("suites", list(ALL_SUITES))
+    if not isinstance(suites, list):
+        raise ScenarioError("suites: expected a list of suite names")
     for s in suites:
         if s not in ALL_SUITES:
             raise ScenarioError(f"unknown suite {s!r} (known: {', '.join(ALL_SUITES)})")
 
     tol = dict(DEFAULT_TOLERANCES)
-    tol.update(raw.get("tolerances", {}))
-    with _section("tolerances"):
-        for k, v in tol.items():
-            if not v > 0:
-                raise ScenarioError(f"tolerances.{k} must be positive")
+    for k, v in _object(raw, "tolerances").items():
+        if k not in DEFAULT_TOLERANCES:
+            raise ScenarioError(f"tolerances.{k}: unknown tolerance "
+                                f"(known: {', '.join(DEFAULT_TOLERANCES)})")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+            raise ScenarioError(f"tolerances.{k}: {v!r} is not a positive finite number")
+        tol[k] = v
 
-    with _section("penalty_ladder"):
-        ladder = [_whole(n, f"penalty_ladder[{i}]") for i, n in enumerate(
-            raw.get("penalty_ladder", [2 ** k for k in range(0, 22, 2)]))]
+    ladder = raw.get("penalty_ladder", [2 ** k for k in range(0, 22, 2)])
+    if not isinstance(ladder, list) or not ladder:
+        raise ScenarioError("penalty_ladder: expected a non-empty list of levels")
+    ladder = [_whole(n, f"penalty_ladder[{i}]") for i, n in enumerate(ladder)]
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or any(n < 1 for n in ladder):
         raise ScenarioError("penalty_ladder must be strictly increasing and >= 1")
 
     family = raw.get("random_family")
     if family is not None:
-        with _section("random_family"):
-            family = {key: _whole(family.get(key, default), f"random_family.{key}")
-                      for key, default in (("seed", 0), ("instances", 20),
-                                           ("max_periods", 3), ("max_branching", 3))}
-        if family["instances"] < 1:
-            raise ScenarioError("random_family.instances must be >= 1")
+        family = _object(raw, "random_family")
+        family = {key: _whole(family.get(key, default), f"random_family.{key}", low)
+                  for key, default, low in (("seed", 0, 0), ("instances", 20, 1),
+                                            ("max_periods", 3, 1), ("max_branching", 3, 2))}
 
-    out_dir = raw.get("output", {}).get("dir") or os.environ.get("VOPT_OUT_DIR", "out")
+    out_dir = _object(raw, "output").get("dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ScenarioError(f"output.dir: {out_dir!r} is not a string")
     return Scenario(name=raw.get("name", name_hint), tree=tree, hazard_h=hazard_h,
                     hazard_delta=hazard_delta, payoff=payoff,
                     phi_seed=phi_seed, phi_count=phi_count,
                     suites=list(suites), tolerances=tol, penalty_ladder=ladder,
-                    family=family, output_dir=out_dir, raw=raw)
+                    family=family,
+                    output_dir=out_dir or os.environ.get("VOPT_OUT_DIR", "out"), raw=raw)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vopt
-from vopt import american, european, suites
+from vopt import american, european, random_time, suites
 from vopt.cli import _scaled_scenario, main
 from vopt.european import ReducedHazard, constrained_snell
 from vopt.scenario import parse_scenario
@@ -60,7 +60,7 @@ GOLDEN_SHA256 = {
         "e11e0589f3bbbf2ac8e762a90bf7b6067d1459b0d33097c1b2dcaff9c905c6fd",
     "values_game.csv": "49f6a8dc7986228f33541f129875168a05e61e911361acf09467bf7958abc030",
     "strategies_game.csv": "217a19878a0f13fc25fd76f76d0d6a464086a73335142aa26c3305388d77ecca",
-    "bundle.csv": "9279455c348d05d80da96faee0c69b510393e69c86027278dcf4195bbdf5aa2a",
+    "bundle.csv": "336d69a4c225f75c85d62f0b009536d5d36f350bf85197eb432135abf11d9ea3",
     # every suite's residual digits, so a changed residual shows
     "report.json": "fdc1c887a1f2ef90b905e77a2e9987888469e36a359fc2c411e26b970871c410",
 }
@@ -99,6 +99,38 @@ BAD_INPUTS = {
     "non-numeric phi count": _set(["phi", "count"], "ten"),
     "negative phi count": _set(["phi", "count"], -3),
     "null random_family instances": _set(["random_family", "instances"], None),
+    # wrong-typed sections
+    "phi not an object": _set(["phi"], [1]),
+    "hazard not an object": _set(["hazard"], [1]),
+    "payoff not an object": _set(["payoff"], [1]),
+    "random_family not an object": _set(["random_family"], [1]),
+    "output not an object": _set(["output"], "dir"),
+    "tolerances a list": _set(["tolerances"], [1, 2]),
+    "tolerances a string": _set(["tolerances"], "x"),
+    "null suites": _set(["suites"], None),
+    "suites a string": _set(["suites"], "european-duality"),
+    # values that parse but would crash a suite or disarm a check
+    "empty penalty ladder": _set(["penalty_ladder"], []),
+    "negative phi seed": _set(["phi", "seed"], -1),
+    "negative random_family seed": _set(["random_family", "seed"], -1),
+    "random_family max_periods 0": _set(["random_family", "max_periods"], 0),
+    "random_family max_branching 1": _set(["random_family", "max_branching"], 1),
+    "unknown tolerance": _set(["tolerances", "identiy"], 1e-12),
+    "infinite tolerance": _set(["tolerances", "identity"], INF),
+    "string terminal_absorption": _set(["hazard", "terminal_absorption"], "no"),
+}
+# the scenario key that the error of each of these cases must name first
+NAMED_KEY = {
+    "phi not an object": "phi", "hazard not an object": "hazard",
+    "payoff not an object": "payoff", "random_family not an object": "random_family",
+    "output not an object": "output", "tolerances a list": "tolerances",
+    "tolerances a string": "tolerances", "null suites": "suites",
+    "suites a string": "suites", "empty penalty ladder": "penalty_ladder",
+    "negative phi seed": "phi.seed", "negative random_family seed": "random_family.seed",
+    "random_family max_periods 0": "random_family.max_periods",
+    "random_family max_branching 1": "random_family.max_branching",
+    "unknown tolerance": "tolerances.identiy", "infinite tolerance": "tolerances.identity",
+    "string terminal_absorption": "hazard.terminal_absorption",
 }
 
 
@@ -109,7 +141,10 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("scenario error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ")
+    if case in NAMED_KEY:
+        assert err.startswith(f"scenario error: {NAMED_KEY[case]}: "), err
     assert not (tmp_path / "out").exists()
 
 
@@ -187,12 +222,11 @@ def test_rescaled_scenario_solves_afresh(scale):
     assert np.array_equal(mod.snell.value.values, first.value.values) == (scale != 0.0)
 
 
-def test_run_solves_each_limit_problem_once(tmp_path, monkeypatch, capsys):
-    # the suites and the written tables share one solve of each limit
-    # problem; every vopt namespace that binds a solver counts through it
+def _count_calls(monkeypatch, *targets) -> dict:
+    """Calls of each (module, name) target, counted through every vopt
+    namespace that binds it."""
     calls = {}
-    for module, name in ((european, "constrained_snell"), (american, "american_upper_price"),
-                         (american, "constrained_dynkin_game")):
+    for module, name in targets:
         real = getattr(module, name)
         calls[name] = 0
 
@@ -203,8 +237,32 @@ def test_run_solves_each_limit_problem_once(tmp_path, monkeypatch, capsys):
         for mod in list(sys.modules.values()):
             if mod.__name__.startswith("vopt") and getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_run_solves_each_limit_problem_once(tmp_path, monkeypatch, capsys):
+    # the suites and the written tables share one solve of each limit problem
+    calls = _count_calls(monkeypatch, (european, "constrained_snell"),
+                         (american, "american_upper_price"),
+                         (american, "constrained_dynkin_game"))
     assert main(["run", str(PACKAGED), "--out", str(tmp_path)]) == 0
     assert calls == dict.fromkeys(calls, 1)
+
+
+def test_solver_suites_build_no_atoms(tmp_path, monkeypatch, capsys):
+    # bundle.csv comes from the closed form on every run, so a run whose suites
+    # read no atoms builds none, and writes the same bundle.csv as a full run
+    calls = _count_calls(monkeypatch, (random_time, "cox_extend"),
+                         (random_time, "projections"))
+    raw = json.loads(PACKAGED.read_text())
+    raw["suites"] = ["european-duality", "dirac-convergence", "rbsde-vs-optstop",
+                     "american-upper", "game-duality"]
+    path = tmp_path / "solvers.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"cox_extend": 0, "projections": 0}
+    digest = hashlib.sha256((tmp_path / "out" / "bundle.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256["bundle.csv"]
 
 
 @pytest.mark.parametrize("param", ["h_scale", "nonsense"])

@@ -82,3 +82,19 @@ def test_dAp_read_at_the_node_fails_a_suite(monkeypatch):
           ("dAp[1:] = M[up, ku] / mass[up]",
            "dAp[1:] = M[np.arange(1, tree.n_nodes), ku] / mass[1:]"))
     assert failing_suites() == ["projections-identities", "martingale-transforms"]
+
+
+def test_closed_form_with_decision_hazard_read_at_the_node_fails_a_suite(monkeypatch):
+    # bundle.csv's route: the step into a node must read the parent's hazard
+    plant(monkeypatch, random_time,
+          ('h[1:] = hz.h[up] if hz.timing == "decision"',
+           'h[1:] = hz.h[1:] if hz.timing == "decision"'))
+    assert failing_suites() == ["projections-identities"]
+
+
+def test_cox_extend_with_decision_hazard_read_at_the_child_fails_a_suite(monkeypatch):
+    # the atoms then follow an arrival-timed law: the assembly's decision-timing
+    # guard and the closed form both catch it
+    plant(monkeypatch, random_time,
+          ("step_h = hz.h[paths[:, :-1]]", "step_h = hz.h[paths[:, 1:]]"))
+    assert failing_suites() == ["projections-identities", "measure-change"]

@@ -1,6 +1,6 @@
 """Property tests of the two projection primitives of ExtendedSpace, the
-mass-table projections, the key lemma, the density eta^phi and the
-closed-form reduced price."""
+mass-table projections, the key lemma, the density eta^phi, the
+closed-form reduced price and the closed form of a Cox random time."""
 
 from fractions import Fraction
 
@@ -13,7 +13,8 @@ from vopt.filtration import AdaptedProcess, StoppingTime, forward
 from vopt.instances import (random_delta_hazard, random_extension, random_payoff,
                             random_phi, random_tree)
 from vopt.measure_change import density_eta
-from vopt.random_time import key_lemma, projections
+from vopt.random_time import (BUNDLE_COLUMNS, HazardSpec, cox_closed_form, cox_extend,
+                              key_lemma, projections)
 
 TOL = 1e-12
 
@@ -311,3 +312,36 @@ def test_closed_form_equals_linear_under_random_sigma(seed, p_stop, scalar_lam):
     assert np.max(np.abs(closed.value.values - lin.value.values)) <= TOL
     assert np.max(np.abs(closed.value.values
                          - pathwise_price(lam_v, pay, hz, tree, stop))) <= TOL
+
+
+# -- the closed form of a Cox random time against its atoms ----------------------
+
+cox_cases = st.tuples(st.integers(0, 2 ** 32 - 1), st.sampled_from(["decision", "arrival"]),
+                      st.booleans())
+
+
+def cox_routes(seed, timing, absorb, h_max):
+    """The closed form and the atom route of one Cox random time on a random
+    tree (N <= 4, branching <= 3, non-uniform P)."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_periods=4, max_branching=3)
+    hz = HazardSpec(rng.uniform(0.0, h_max, tree.n_nodes), timing=timing,
+                    terminal_absorption=absorb)
+    return cox_closed_form(tree, hz), projections(cox_extend(tree, hz))
+
+
+@props
+@given(cox_cases)
+def test_cox_closed_form_equals_the_atom_route(case):
+    form, bundle = cox_routes(*case, h_max=0.9)
+    for name in BUNDLE_COLUMNS:
+        assert np.allclose(getattr(form, name), getattr(bundle, name).values,
+                           rtol=0, atol=TOL), name
+
+
+@props
+@given(cox_cases)
+def test_cox_closed_form_without_hazard_is_the_atom_route_bitwise(case):
+    form, bundle = cox_routes(*case, h_max=0.0)
+    for name in BUNDLE_COLUMNS:
+        assert getattr(form, name).tobytes() == getattr(bundle, name).values.tobytes(), name

@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from vopt import random_time
 from vopt.errors import HazardError, IdentityError, TreeError
 from vopt.filtration import AdaptedProcess, StoppingTime, backward, build_tree
 from vopt.instances import (random_extension, random_hazard_h, random_payoff,
                             random_tree)
-from vopt.random_time import (INF, ExtendedSpace, HazardSpec, IdentityReport, cox_extend,
-                              extend_with_kernel, full_price_assembly,
+from vopt.random_time import (INF, BUNDLE_COLUMNS, ExtendedSpace, HazardSpec, IdentityReport,
+                              cox_closed_form, cox_extend, extend_with_kernel, full_price_assembly,
                               jeulin_yor_transform, key_lemma, pre_default_transform,
                               projections, verify_lemma21)
 from vopt.european import PayoffSpec, ReducedHazard, reduced_price_linear
@@ -78,6 +79,44 @@ def test_kernel_extension_marginal_matches_tree():
     leaf_mass = np.zeros(tree.leaves.size)
     np.add.at(leaf_mass, ext.leaf_row, ext.prob)
     assert np.allclose(leaf_mass, tree.node_p[tree.leaves], atol=TOL)
+
+
+# -- cox_closed_form -----------------------------------------------------------
+
+def test_cox_closed_form_one_period_hand_values():
+    # h = 0.3 at the root: G = 0.7, G~ = 1, dA^o = dA^p = 0.3 at both children;
+    # m = n = A + G = 1 everywhere; without absorption all mass defaults at t_1
+    tree = one_period()
+    form = cox_closed_form(tree, HazardSpec.constant(tree, 0.3))
+    assert np.allclose(form.G, [1.0, 0.7, 0.7], rtol=0, atol=TOL)
+    assert np.allclose(form.Gtilde, 1.0, rtol=0, atol=TOL)
+    assert np.allclose(form.Ao, [0.0, 0.3, 0.3], rtol=0, atol=TOL)
+    assert np.allclose(form.Gamma, form.Ap, rtol=0, atol=TOL)
+    assert np.allclose(form.m, 1.0, rtol=0, atol=TOL)
+    cut = cox_closed_form(tree, HazardSpec.constant(tree, 0.3, terminal_absorption=False))
+    assert np.array_equal(cut.G, [1.0, 0.0, 0.0])
+    assert np.array_equal(cut.Ao, [0.0, 1.0, 1.0])
+    with pytest.raises(HazardError, match="one value per node"):
+        cox_closed_form(tree, HazardSpec(np.zeros(2)))
+
+
+def test_cox_closed_form_and_the_atom_route_do_not_call_each_other(monkeypatch):
+    tree = random_tree(np.random.default_rng(3), 3, 3)
+    hz = random_hazard_h(np.random.default_rng(4), tree, timing="decision")
+    bundle = projections(cox_extend(tree, hz))
+
+    def forbidden(*a, **k):
+        raise AssertionError("called")
+
+    for name in ("cox_extend", "projections", "survival_tables", "ExtendedSpace"):
+        monkeypatch.setattr(random_time, name, forbidden)
+    form = random_time.cox_closed_form(tree, hz)
+    monkeypatch.undo()
+    monkeypatch.setattr(random_time, "cox_closed_form", forbidden)
+    again = random_time.projections(random_time.cox_extend(tree, hz))
+    for name in BUNDLE_COLUMNS:
+        assert np.allclose(getattr(form, name), getattr(bundle, name).values, rtol=0, atol=TOL)
+        assert np.array_equal(getattr(again, name).values, getattr(bundle, name).values)
 
 
 # -- projections and identity lemmas -------------------------------------------
