@@ -79,7 +79,14 @@ class FiniteTree:
         return forward(self, edge, np.multiply, 1.0)
 
     def _validate(self):
-        for name, edge in (("P", self.p_edge), ("Q", self.q_edge)):
+        inner = int(self.level_start[self.n_periods])
+        # the children of the inner nodes, taken in parent order, are the nodes
+        # 1, 2, ...: one reduceat over their edges sums every sibling group
+        offsets = self.first_child[:inner] - 1
+        measures = [("P", self.p_edge)]
+        if not np.array_equal(self.q_edge, self.p_edge):    # Q = P is checked once
+            measures.append(("Q", self.q_edge))
+        for name, edge in measures:
             if not np.all(np.isfinite(edge)):
                 v = int(np.flatnonzero(~np.isfinite(edge))[0])
                 raise TreeError(f"{name}-probability of edge into node {v} is not finite")
@@ -88,14 +95,13 @@ class FiniteTree:
                 raise TreeError(
                     f"{name}-probability of edge into node {v} is not strictly "
                     "positive (breaks measure equivalence)")
-            for k in range(self.n_periods):
-                sums = self.sum_over_children(k, edge[self.level_slice(k + 1)])
-                bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-                if bad.size:
-                    node = int(self.level_nodes(k)[bad[0]])
-                    raise TreeError(
-                        f"probabilities do not sum to 1 under {name} at node "
-                        f"{node} (level {k}, sum {sums[bad[0]]:.12g})")
+            sums = np.add.reduceat(edge[1:], offsets)
+            bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+            if bad.size:
+                node = int(bad[0])
+                raise TreeError(
+                    f"probabilities do not sum to 1 under {name} at node "
+                    f"{node} (level {int(self.level_of[node])}, sum {sums[node]:.12g})")
         if np.any(self.n_children[self.level_slice(self.n_periods)] != 0):
             raise TreeError("terminal node with children")
         for k in range(self.n_periods):

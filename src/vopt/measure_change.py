@@ -18,10 +18,14 @@ each Q^phi) is one array operation per step for all K controls, element for
 element the arithmetic of one control, so every row is bitwise what its
 control gives alone.  The G- and F-projections behind the checks (the
 martingale residuals from ``ExtendedSpace.g_condexp``, E[eta | F] from
-``f_condexp``) run once per row: they are the direct per-atom Bayes sums the
-fast path is checked against, and they stay independent of its layout.  A
-stack that fails raises what a loop over its controls would raise first: the
-first failing control, with the first check it fails.
+``f_condexp``) are the direct per-atom Bayes sums the fast path is checked
+against.  They run once per block of rows (``ExtendedSpace.blocks``, at most
+``_BLOCK_CELLS`` atom-time cells a block): one ``bincount`` over the block's
+row-offset cell ids, which adds each row's terms in the order a call on that
+row alone adds them, so each row is bitwise unchanged.  Each block builds its
+own integrand, so a stack never holds more than one block's.  A stack that
+fails raises what a loop over its controls would raise first: the first
+failing control, with the first check it fails.
 """
 
 from __future__ import annotations
@@ -251,10 +255,11 @@ class DensityBundle:
 
     @cached_property
     def eta_o_proj(self) -> np.ndarray:
-        """E[eta_k | F_k] per node, one ``f_condexp`` per control; read-only."""
+        """E[eta_k | F_k] per node, one stacked ``f_condexp`` per block of
+        controls; read-only."""
         ext = self.reference.ext
         rows = self.eta.reshape(-1, ext.n_atoms, ext.base.n_periods + 1)
-        proj = np.array([ext.f_condexp(e) for e in rows])
+        proj = ext.by_blocks(len(rows), lambda b: ext.f_condexp(rows[b]))
         proj = proj.reshape(self.eta.shape[:-2] + (ext.base.n_nodes,))
         proj.flags.writeable = False
         return proj
@@ -301,7 +306,7 @@ def density_eta(phi: PhiControl, bundle: ProjectionBundle,
 
     rows = eta.reshape(-1, ext.n_atoms, n + 1)
     totals = np.array([np.dot(ext.prob, e[:, n]) for e in rows])
-    mart = np.array([ext.g_martingale_residual(e) for e in rows])
+    mart = ext.by_blocks(len(rows), lambda b: ext.g_martingale_residual(rows[b]))
     inadmissible = np.arange(len(rows)) == (-1 if rep.ok else rep.row)
     _raise_first([
         (inadmissible, AdmissibilityError, "; ".join(rep.violations), None),
@@ -389,7 +394,8 @@ def G_under_phi(dens: DensityBundle, tol: float = IDENTITY_TOL) -> GPhiReport:
 
 def compensated_default_residual(dens: DensityBundle):
     """Max Q^phi-conditional increment of A - Lambda^theta (zero is the theorem),
-    one per control of a stack, each from its own G-projection.
+    one per control of a stack, from one stacked G-projection per block of
+    controls; each block builds its own integrand.
 
     Like the hazard rule itself, exact only on the subfamily with a
     graph-trivial post-default mark.
@@ -402,6 +408,6 @@ def compensated_default_residual(dens: DensityBundle):
     ind = ext.indicator()
     lam = dens.Lambda.reshape(-1, ext.base.n_nodes)
     qphi = dens.qphi.reshape(-1, ext.n_atoms)
-    res = np.array([ext.g_martingale_residual(ind - lam_r[ext.stopped_node], q)
-                    for lam_r, q in zip(lam, qphi)])
+    res = ext.by_blocks(len(qphi), lambda b: ext.g_martingale_residual(
+        ind - np.take(lam[b], ext.stopped_node, axis=-1), qphi[b]))
     return res.reshape(dens.qphi.shape[:-1])[()]

@@ -24,6 +24,19 @@ distinct across levels, which gives the two projection primitives:
 Both add each node's or cell's atoms in atom order, and ``g_condexp`` is a
 direct per-cell Bayes sum that never reads the projections it checks.
 
+Stacks.  Both primitives and ``g_martingale_residual`` also take a stack of
+K tables, shaped (K, n_atoms, cols), under one measure or one per row.  Cell
+c of row r gets the id r * size + c, so one ``bincount`` sums the whole
+stack; ``bincount`` adds each bin's weights in input order, so a row's bins
+see the additions a call on that row alone makes, and every row is bitwise
+what its own call gives (a NaN stays in its row).  Callers cut a stack into
+blocks (``ExtendedSpace.blocks``) of at most ``_BLOCK_CELLS`` (atom, time)
+cells and at least one row: the tiny spaces of the random family share one
+call among several rows, and a space whose row exceeds the limit runs one
+row a call, with the arrays of a single call.  The stacked sums read only
+atoms, cell ids and weights, never the survival tables or the density
+arithmetic they check.
+
 Each space builds, on first use, the G_k cell ids of every atom at every
 time, and the F- and G-cell masses of its own measure.  ``leaf_row``,
 ``theta`` and ``prob`` are the space's own read-only copies, so these cannot
@@ -100,6 +113,9 @@ class HazardSpec:
 
 
 INF = np.iinfo(np.int64).max  # sentinel theta index for "after T"
+# most (atom, time) cells one stacked oracle call sums: a block's rows share
+# one bincount, and a row larger than this is a block of its own
+_BLOCK_CELLS = 1024
 
 
 class ExtendedSpace:
@@ -137,9 +153,17 @@ class ExtendedSpace:
     # -- conditional-expectation machinery ------------------------------------
 
     def _sums(self, ids: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
-        """Sum ``v`` (per atom, or per atom and time) within each id of ``ids``."""
-        flat = np.broadcast_to(v.reshape(self.n_atoms, -1), ids.shape).ravel()
+        """Sum ``v`` (broadcast to the shape of ``ids``) within each id of ``ids``."""
+        flat = np.broadcast_to(v, ids.shape).ravel()
         return np.bincount(ids.ravel(), weights=flat, minlength=size)
+
+    @staticmethod
+    def _row_ids(cells: np.ndarray, count: int, size: int) -> np.ndarray:
+        """The ids ``cells`` of each row of a stack of ``count``, row r's
+        offset by r * size (one row: ``cells`` itself, with a stack axis)."""
+        if count == 1:
+            return cells[None]
+        return cells + (np.arange(count, dtype=np.int64) * size)[:, None, None]
 
     @cached_property
     def _g_cells(self) -> np.ndarray:
@@ -153,13 +177,13 @@ class ExtendedSpace:
     @cached_property
     def _f_mass(self) -> np.ndarray:
         """Mass of every F_k cell (tree node) under the space's own measure."""
-        return self._sums(self.node_at, self.prob, self.base.n_nodes)
+        return self._sums(self.node_at, self.prob[:, None], self.base.n_nodes)
 
     @cached_property
     def _g_mass(self) -> np.ndarray:
         """Mass of every G_k cell under the space's own measure."""
         size = self.base.n_nodes * (self.base.n_periods + 1)
-        return self._sums(self._g_cells, self.prob, size)
+        return self._sums(self._g_cells, self.prob[:, None], size)
 
     @cached_property
     def _decision_spread(self) -> np.ndarray:
@@ -175,21 +199,49 @@ class ExtendedSpace:
     def _own(self, weights) -> bool:
         return weights is None or weights is self.prob
 
+    def _stacked(self, x, weights):
+        """(x, w) with a stack axis: x as (K, n_atoms, cols), w as (K or 1,
+        n_atoms, 1); and whether x came with one."""
+        w = self.prob if weights is None else np.asarray(weights)
+        x = np.asarray(x)
+        return (x if x.ndim == 3 else x.reshape(1, self.n_atoms, -1),
+                w.reshape(-1, self.n_atoms, 1), x.ndim == 3)
+
+    def blocks(self, count: int) -> list[slice]:
+        """The blocks of a stack of ``count`` rows of (atom, time) tables, each
+        of at most ``_BLOCK_CELLS`` cells, or one row when a row holds more.
+        An empty stack is one empty block."""
+        per = max(1, _BLOCK_CELLS // (self.n_atoms * (self.base.n_periods + 1)))
+        return [slice(lo, lo + per) for lo in range(0, max(count, 1), per)]
+
+    def by_blocks(self, count: int, fn) -> np.ndarray:
+        """``fn(rows)`` for each block ``rows`` of a stack of ``count`` rows,
+        joined along the stack axis."""
+        return np.concatenate([fn(rows) for rows in self.blocks(count)])
+
     def f_condexp(self, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """E[x_k | F_k] at every tree node (exact Bayes sums).
 
         ``x`` holds one value per atom, or one column per time k = 0..N; the
-        level-k nodes get the conditional expectation of column k.
+        level-k nodes get the conditional expectation of column k.  A stack
+        (K, n_atoms, N+1) of such tables gives (K, n_nodes), under one measure
+        or under one per row (``weights`` (K, n_atoms)).  A zero-mass cell
+        raises for the first row that has one, at its first such node.
         """
-        w = self.prob if weights is None else weights
-        x = np.asarray(x)
-        size = self.base.n_nodes
-        num = self._sums(self.node_at, w[:, None] * x if x.ndim == 2 else w * x, size)
-        den = self._f_mass if self._own(weights) else self._sums(self.node_at, w, size)
+        xs, ws, stacked = self._stacked(x, weights)
+        count, size = xs.shape[0], self.base.n_nodes
+        ids = self._row_ids(self.node_at, count, size)
+        num = self._sums(ids, ws * xs, count * size).reshape(count, size)
+        if self._own(weights):
+            den = self._f_mass
+        else:
+            rows = ws.shape[0]
+            den = self._sums(ids[:rows], ws, rows * size).reshape(rows, size)
         if np.any(den <= 0.0):
-            k = int(self.base.level_of[np.argmax(den <= 0.0)])
+            k = int(self.base.level_of[np.argmax(den <= 0.0) % size])
             raise HazardError(f"F_{k} cell with zero mass (measure not equivalent)")
-        return num / den
+        out = num / den
+        return out if stacked else out[0]
 
     def g_condexp(self, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """E[x_k | G_k] per atom and time, shape (n_atoms, N+1).
@@ -198,30 +250,36 @@ class ExtendedSpace:
         0, 1, ...; the output then has as many, and the bins, which always run
         over all N+1 columns of cell ids, see the missing ones as zeros).  The
         G_k cell of an atom is its level-k node and its default state at k
-        (theta if theta <= k, else 0), with id ``node * (N+1) + state``.
+        (theta if theta <= k, else 0), with id ``node * (N+1) + state``.  A
+        stack (K, n_atoms, cols) gives (K, n_atoms, cols), with ``weights`` as
+        for :meth:`f_condexp`.
         """
-        w = self.prob if weights is None else weights
-        x = np.asarray(x)
+        xs, ws, stacked = self._stacked(x, weights)
         n = self.base.n_periods
-        cols = n + 1 if x.ndim == 1 else x.shape[1]
+        count = xs.shape[0]
+        cols = n + 1 if np.ndim(x) == 1 else xs.shape[2]
         size = self.base.n_nodes * (n + 1)
-        buf = np.zeros((self.n_atoms, n + 1))   # w x, then the masses of w, then the result
-        np.multiply(w[:, None], x.reshape(self.n_atoms, -1), out=buf[:, :cols])
-        num = self._sums(self._g_cells, buf, size)
+        ids = self._row_ids(self._g_cells, count, size)
+        buf = np.zeros(ids.shape)       # w x, then the masses of w, then the result
+        np.multiply(ws, xs, out=buf[..., :cols])
+        num = self._sums(ids, buf, count * size).reshape(count, size)
         den = self._g_mass
         if not self._own(weights):
-            buf[:] = w[:, None]
-            den = self._sums(self._g_cells, buf, size)
-        means = np.divide(num, den, out=np.zeros(size), where=den > 0.0)
-        return np.take(means, self._g_cells, out=buf)[:, :cols]
+            rows = ws.shape[0]
+            buf[:rows] = ws
+            den = self._sums(ids[:rows], buf[:rows], rows * size).reshape(rows, size)
+        means = np.divide(num, den, out=np.zeros((count, size)), where=den > 0.0)
+        out = np.take(means, ids, out=buf)[..., :cols]
+        return out if stacked else out[0]
 
-    def g_martingale_residual(self, x: np.ndarray, weights: np.ndarray | None = None
-                              ) -> float:
+    def g_martingale_residual(self, x: np.ndarray, weights: np.ndarray | None = None):
         """max over k and G_k cells of |E[x_{k+1} - x_k | G_k]| for a process on
-        the extension; NaN as soon as any term is NaN."""
-        ce = self.g_condexp(x[:, 1:], weights)     # E[x_{k+1} | G_k] in column k
-        ce -= x[:, :-1]
-        return float(np.max(np.abs(ce, out=ce), initial=0.0))
+        the extension; NaN as soon as any term is NaN.  A stack (K, n_atoms,
+        N+1) gives one residual per row."""
+        ce = self.g_condexp(x[..., 1:], weights)   # E[x_{k+1} | G_k] in column k
+        ce -= x[..., :-1]
+        res = np.max(np.abs(ce, out=ce), axis=(-2, -1), initial=0.0)
+        return res if np.ndim(x) == 3 else float(res)
 
     def indicator(self) -> np.ndarray:
         """A_t = 1{theta <= t} on atoms, shape (n_atoms, N+1)."""

@@ -11,9 +11,11 @@ as one stack (``random_phi(..., count=)``, in the generator order of single
 draws) and checks them together: one density build, one set of survival
 tables under the K tilted measures and one pass of each rule, each row
 bitwise what its control gives alone.  The martingale residuals and
-E[eta | F] behind those checks still run once per control, through the
-per-atom Bayes sums of ``ExtendedSpace``: they are the independent route
-the stacked arithmetic is checked against, so they keep their own layout.
+E[eta | F] behind those checks are the per-atom Bayes sums of
+``ExtendedSpace``, the independent route the stacked arithmetic is checked
+against; they run once per block of controls, and so do the three indicator
+projections of ``projections-identities`` and the two transform residuals of
+``martingale-transforms``.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ def _worst(*residuals: float) -> float:
     return float(np.max(residuals))
 
 
+def _stack(rows: list[np.ndarray]) -> np.ndarray:
+    """Same-shaped arrays on a leading stack axis; one array is not copied."""
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
 def _family_instances(sc: Scenario):
     """(tree, projection bundle) of the scenario instance first, then of the
     seeded random family; both are built once a run and shared."""
@@ -102,11 +109,14 @@ def suite_projections_identities(sc: Scenario) -> SuiteResult:
     for tree, bundle in _family_instances(sc):
         rep = verify_lemma21(bundle)
         # the mass-table G, G~ and dA^o against the direct per-atom Bayes sums
-        theta, ks = bundle.ext.theta[:, None], np.arange(tree.n_periods + 1)
+        ext = bundle.ext
+        theta, ks = ext.theta[:, None], np.arange(tree.n_periods + 1)
+        events = (np.greater, np.greater_equal, np.equal)    # theta > k, >= k, == k
+        direct = ext.by_blocks(3, lambda b: ext.f_condexp(
+            _stack([event(theta, ks) for event in events[b]])))
         worst = _worst(worst, rep.max_residual, *(
-            float(np.max(np.abs(bundle.ext.f_condexp(ind) - proj.values)))
-            for ind, proj in ((theta > ks, bundle.G), (theta >= ks, bundle.Gtilde),
-                              (theta == ks, bundle.dAo))))
+            float(np.max(np.abs(got - proj.values)))
+            for got, proj in zip(direct, (bundle.G, bundle.Gtilde, bundle.dAo))))
         x = AdaptedProcess(tree, rng.uniform(0.0, 3.0, tree.n_nodes))
         xp = np.empty(tree.n_nodes)
         xp[0] = x.values[0]
@@ -127,8 +137,9 @@ def suite_martingale_transforms(sc: Scenario) -> SuiteResult:
         ext = bundle.ext
         M = AdaptedProcess(tree, backward(
             tree, rng.uniform(-1.0, 2.0, tree.leaves.size), measure="P"))
-        worst = _worst(worst, ext.g_martingale_residual(jeulin_yor_transform(bundle, M)),
-                       ext.g_martingale_residual(pre_default_transform(bundle, M)))
+        transforms = (jeulin_yor_transform, pre_default_transform)
+        worst = _worst(worst, *ext.by_blocks(2, lambda b: ext.g_martingale_residual(
+            _stack([transform(bundle, M) for transform in transforms[b]]))))
         count += 1
     return SuiteResult("martingale-transforms", worst <= tol, worst, tol, 0.0,
                        {"instances": count})

@@ -2,18 +2,21 @@
 
 The reference is the per-control path the stack replaced, kept here as it
 was: one control's admissibility check, its density, the survival tables
-rebuilt under its measure and the three rules, one control at a time.
+rebuilt under its measure and the three rules, one control at a time.  The
+stacked Bayes-sum oracles of ``ExtendedSpace`` are checked the same way,
+row by row against a call on that row alone.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vopt.errors import AdmissibilityError, IdentityError
+from vopt.errors import AdmissibilityError, HazardError, IdentityError
 from vopt.instances import random_extension, random_phi, random_tree
 from vopt.measure_change import (G_under_phi, PhiControl, compensated_default_residual,
                                  density_eta, hazard_under_phi)
-from vopt.random_time import projections
+from vopt.random_time import _BLOCK_CELLS, HazardSpec, cox_extend, projections
 
 TOL = 1e-12
 
@@ -266,3 +269,101 @@ def test_an_empty_stack_checks_nothing():
     (eta, qphi, d_lambda), residuals = stack_rules(bundle, phi)
     assert eta.shape == (0,) + bundle.ext.node_at.shape and qphi.shape == (0, bundle.ext.n_atoms)
     assert all(np.shape(r) == (0,) for r in residuals)
+
+
+# -- the stacked oracles against one call per row ----------------------------------
+
+def oracle_calls(ext, x, w):
+    """f_condexp, g_condexp on full and on fewer columns, and the martingale
+    residual of the stack x under w (None, one measure, or one per row)."""
+    return (ext.f_condexp(x, w), ext.g_condexp(x, w), ext.g_condexp(x[..., 1:], w),
+            ext.g_martingale_residual(x, w))
+
+
+def per_row(ext, x, w):
+    """``oracle_calls`` on each row alone, with that row's measure."""
+    rows = [oracle_calls(ext, x[r], w if w is None or w.ndim == 1 else w[r])
+            for r in range(len(x))]
+    return [np.array([row[i] for row in rows]) for i in range(4)]
+
+
+def assert_bitwise(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+        assert g.tobytes() == w.tobytes() or np.isnan(w).any()
+
+
+def weight_stacks(ext, rng, count):
+    tilt = ext.prob * rng.uniform(0.2, 5.0, (count, ext.n_atoms))
+    tilt /= tilt.sum(axis=1, keepdims=True)
+    return [None, ext.prob, tilt[0], tilt]
+
+
+@cases
+@given(*stacks)
+def test_stacked_oracles_equal_one_call_per_row(seed, kind, count):
+    rng, bundle = instance(seed, kind)
+    ext = bundle.ext
+    x = rng.uniform(-1.0, 2.0, (count, ext.n_atoms, ext.base.n_periods + 1))
+    for w in weight_stacks(ext, rng, count):
+        got = oracle_calls(ext, x, w)
+        assert_bitwise(got, per_row(ext, x, w))
+        # a NaN in one row: NaN there only, every other row bitwise unchanged
+        bad = int(rng.integers(count))
+        xn = x.copy()
+        xn[bad, int(rng.integers(ext.n_atoms)), -1] = np.nan
+        nan = oracle_calls(ext, xn, w)
+        assert np.isnan(nan[3][bad])
+        keep = np.arange(count) != bad
+        assert_bitwise([a[keep] for a in nan], [a[keep] for a in got])
+
+
+@cases
+@given(*stacks)
+def test_blocks_of_a_stack_equal_one_call_per_row(seed, kind, count):
+    rng, bundle = instance(seed, kind)
+    ext = bundle.ext
+    cells = ext.n_atoms * (ext.base.n_periods + 1)
+    per = max(1, _BLOCK_CELLS // cells)
+    count += 2 * per            # at least three blocks
+    blocks = ext.blocks(count)
+    assert len(blocks) >= 3
+    assert [r for b in blocks for r in range(count)[b]] == list(range(count))
+    assert all(len(range(count)[b]) * cells <= max(_BLOCK_CELLS, cells) for b in blocks)
+    x = rng.uniform(-1.0, 2.0, (count, ext.n_atoms, ext.base.n_periods + 1))
+    for w in weight_stacks(ext, rng, count):
+        got = [ext.by_blocks(count, lambda b: oracle_calls(
+                   ext, x[b], w if w is None or w.ndim == 1 else w[b])[i])
+               for i in range(4)]
+        assert_bitwise(got, per_row(ext, x, w))
+
+
+def test_one_row_larger_than_a_block_is_a_block_of_its_own():
+    tree = random_tree(np.random.default_rng(3), max_periods=6, max_branching=3)
+    ext = cox_extend(tree, HazardSpec.constant(tree, 0.2))
+    assert ext.n_atoms * (tree.n_periods + 1) > _BLOCK_CELLS
+    assert ext.blocks(3) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert ext.blocks(0) == [slice(0, 1)]
+
+
+def test_stacked_zero_mass_cell_raises_for_the_first_row_that_has_one():
+    rng = np.random.default_rng(2)
+    tree = random_tree(rng, 3, 2)
+    ext = cox_extend(tree, HazardSpec.constant(tree, 0.3))
+    w = np.tile(ext.prob, (4, 1))
+    w[1, ext.node_at[:, 1] == 1] = 0.0      # an empty level-1 cell in row 1
+    w[2, ext.leaf_row == 0] = 0.0           # an empty leaf in row 2
+    w /= w.sum(axis=1, keepdims=True)
+    x = np.ones((4, ext.n_atoms, tree.n_periods + 1))
+
+    def error(rows):
+        with pytest.raises(HazardError) as exc:
+            ext.f_condexp(x[rows], w[rows])
+        return str(exc.value)
+
+    assert error(1) == "F_1 cell with zero mass (measure not equivalent)"
+    assert error(2) == f"F_{tree.n_periods} cell with zero mass (measure not equivalent)"
+    # a stack raises what its first failing row raises alone
+    for order, first in (([0, 1, 2, 3], 1), ([0, 2, 1, 3], 2), ([3, 2], 2)):
+        assert error(order) == error(first)

@@ -376,6 +376,50 @@ def test_build_tree_error_messages(case):
     assert str(exc.value) == message
 
 
+def ref_validation_error(tree, p, q):
+    """The first TreeError of a per-level check of the edges p and q: each
+    measure finite, then positive, then its sibling sums level by level."""
+    for name, edge in (("P", p), ("Q", q)):
+        if not np.all(np.isfinite(edge)):
+            v = int(np.flatnonzero(~np.isfinite(edge))[0])
+            return f"{name}-probability of edge into node {v} is not finite"
+        if np.any(edge <= 0.0):
+            v = int(np.flatnonzero(edge <= 0.0)[0])
+            return (f"{name}-probability of edge into node {v} is not strictly "
+                    "positive (breaks measure equivalence)")
+        for k in range(tree.n_periods):
+            for v in tree.level_nodes(k):
+                total = float(np.sum(edge[tree.children(v)]))
+                if abs(total - 1.0) > 1e-9:
+                    return (f"probabilities do not sum to 1 under {name} at node {v} "
+                            f"(level {k}, sum {total:.12g})")
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tree_validation_raises_the_per_level_error(seed):
+    rng = np.random.default_rng(seed)
+    for spec in random_specs(seed):
+        tree = build_tree(spec)
+        for _ in range(6):
+            edges = [tree.p_edge.copy(), tree.q_edge.copy()]
+            for _ in range(int(rng.integers(1, 3))):
+                edge = edges[int(rng.integers(2))]
+                v = int(rng.integers(1, tree.n_nodes))
+                edge[v] = rng.choice([edge[v] * 1.5, np.nan, 0.0, -edge[v], edge[v]])
+            if rng.random() < 0.3:
+                edges[1] = edges[0].copy()     # Q = P
+            want = ref_validation_error(tree, *edges)
+            args = (tree.grid, tree.parent, tree.first_child, tree.n_children, *edges,
+                    tree.level_start)
+            if want is None:
+                filtration.FiniteTree(*args)
+                continue
+            with pytest.raises(TreeError) as exc:
+                filtration.FiniteTree(*args)
+            assert str(exc.value) == want
+
+
 # -- count_stopping_times against a recursive count -------------------------------
 
 def ref_count(tree, allowed):

@@ -3,8 +3,9 @@
 Each test plants one defect in a fast path and runs the packaged scenario's
 suites: the suite that guards the path must fail.  A defect is planted by
 compiling the module's source with one passage replaced, and rebinding the
-function that holds the passage, in every ``vopt`` namespace that binds it,
-to the compiled copy.
+function that holds the passage to the compiled copy: a module-level
+function in every ``vopt`` namespace that binds it, a method, static method
+or cached property on its class.
 """
 
 import dataclasses
@@ -23,16 +24,31 @@ from vopt.suites import run_suites
 PACKAGED = Path(vopt.__file__).parent / "scenarios" / "paper_regression.json"
 
 
+def functions_of(module):
+    """(owner, name, function) of every function written in ``module``: its
+    module-level functions (owner: the module), and the methods, static
+    methods and cached properties of its classes (owner: the class)."""
+    def own(fn):
+        return inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__
+
+    for name, obj in vars(module).items():
+        if own(obj):
+            yield module, name, obj
+        elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+            for attr, member in vars(obj).items():
+                fn = getattr(member, "func", getattr(member, "__func__", member))
+                if own(fn):
+                    yield obj, attr, fn
+
+
 def plant(monkeypatch, module, *edits):
     """Replace each ``old`` of ``edits`` (once each, all in one function of
     ``module``) by its ``new``, and bind the mutated function wherever the
     original is bound."""
-    fns = {name: fn for name, fn in vars(module).items()
-           if inspect.isfunction(fn) and fn.__module__ == module.__name__}
-    hit = {name for name, fn in fns.items() for old, _ in edits
-           if old in inspect.getsource(fn)}
-    assert len(hit) == 1, hit
-    (name,) = hit
+    hit = [(owner, name, fn) for owner, name, fn in functions_of(module)
+           if any(old in inspect.getsource(fn) for old, _ in edits)]
+    assert len(hit) == 1, [name for _, name, _ in hit]
+    ((owner, name, fn),) = hit
     src = inspect.getsource(module)
     for old, new in edits:
         assert src.count(old) == 1, old
@@ -40,8 +56,11 @@ def plant(monkeypatch, module, *edits):
     mutant = types.ModuleType(module.__name__)
     mutant.__package__ = "vopt"
     exec(compile(src, module.__file__, "exec"), vars(mutant))
+    if owner is not module:     # classes are shared: rebind on the class
+        monkeypatch.setattr(owner, name, vars(vars(mutant)[owner.__name__])[name])
+        return
     for mod in [m for n, m in sys.modules.items() if n == "vopt" or n.startswith("vopt.")]:
-        if vars(mod).get(name) is fns[name]:
+        if vars(mod).get(name) is fn:
             monkeypatch.setattr(mod, name, vars(mutant)[name])
 
 
@@ -63,8 +82,8 @@ DENSITY_MUTANTS = {
         ("* at(jump, dn) * mf[dn]", "* at(jump, dn)"),
         ("eta = at(surv * mf, ext.node_at)", "eta = at(surv, ext.node_at)")],
     "compensated default under the reference measure": [
-        ("ext.g_martingale_residual(ind - lam_r[ext.stopped_node], q)",
-         "ext.g_martingale_residual(ind - lam_r[ext.stopped_node])")],
+        ("ind - np.take(lam[b], ext.stopped_node, axis=-1), qphi[b]))",
+         "ind - np.take(lam[b], ext.stopped_node, axis=-1)))")],
 }
 
 
@@ -98,3 +117,20 @@ def test_cox_extend_with_decision_hazard_read_at_the_child_fails_a_suite(monkeyp
     plant(monkeypatch, random_time,
           ("step_h = hz.h[paths[:, :-1]]", "step_h = hz.h[paths[:, 1:]]"))
     assert failing_suites() == ["projections-identities", "measure-change"]
+
+
+def test_stacked_cell_ids_without_the_row_offset_fail_a_suite(monkeypatch):
+    # every row of a block then sums into the first row's cells
+    plant(monkeypatch, random_time,
+          ("return cells + (np.arange(count, dtype=np.int64) * size)[:, None, None]",
+           "return np.broadcast_to(cells, (count,) + cells.shape)"))
+    assert failing_suites() == ["projections-identities", "martingale-transforms",
+                                "measure-change"]
+
+
+def test_g_cells_with_a_strict_default_state_fail_suites(monkeypatch):
+    # theta < k for theta <= k: the default time itself is no longer in G_theta
+    plant(monkeypatch, random_time,
+          ("where=theta <= np.arange(n + 1)", "where=theta < np.arange(n + 1)"))
+    assert failing_suites() == ["projections-identities", "martingale-transforms",
+                                "measure-change"]
