@@ -9,8 +9,7 @@ all cross-verified against enumeration oracles.
 from .errors import (AdmissibilityError, EnumerationCapError, HazardError,
                      IdentityError, ScenarioError, TreeError)
 from .filtration import (AdaptedProcess, FiniteTree, StoppingTime, TimeGrid,
-                         build_tree, condexp, doob_decomposition,
-                         enumerate_stopping_times, evaluate_stopping,
+                         build_tree, condexp, doob_decomposition, evaluate_stopping,
                          snell_envelope)
 from .random_time import (ExtendedSpace, HazardSpec, ProjectionBundle, cox_extend,
                           extend_with_kernel, full_price_assembly,

@@ -127,7 +127,7 @@ def rbsde_vs_weighted_optstop(payoff: PayoffSpec, hz: ReducedHazard,
     # recovery is collected at the decision node of each step
     racc = forward(tree, payoff.R.values[tree.parent] * dAo, np.add, 0.0)
     xi = AdaptedProcess(tree, payoff.P.values * G + racc)
-    snell, _ = snell_envelope(xi, "Q")
+    snell, _ = snell_envelope(xi)
     weighted = (snell.values - racc) / G
 
     rb = reflected_gbsde_solve("linear", 1.0, payoff, hz)
@@ -154,7 +154,7 @@ def modified_payoff(payoff: PayoffSpec, hz: ReducedHazard) -> AdaptedProcess:
 
 def american_upper_price(payoff: PayoffSpec, hz: ReducedHazard) -> EuroSolveReport:
     """Snell envelope (all stopping times) of the modified payoff zeta^u."""
-    value, tau = snell_envelope(modified_payoff(payoff, hz), "Q")
+    value, tau = snell_envelope(modified_payoff(payoff, hz))
     return EuroSolveReport(value, tau_star=tau)
 
 
@@ -194,10 +194,9 @@ def constrained_dynkin_game(payoff: PayoffSpec, hz: ReducedHazard) -> GameValueR
                            float(v[0]), float(v[0]))
 
 
-def game_payoff(payoff: PayoffSpec, sigma: StoppingTime, tau: StoppingTime,
-                measure: str = "Q") -> float:
-    """Exact E[X(sigma, tau)]: P at sigma if tau comes later, else P v R at tau
-    (P at the horizon)."""
+def game_payoff(payoff: PayoffSpec, sigma: StoppingTime, tau: StoppingTime) -> float:
+    """Exact E^Q[X(sigma, tau)]: P at sigma if tau comes later, else P v R at
+    tau (P at the horizon)."""
     tree = shared_tree(payoff, sigma, tau)
     pv, rv = payoff.P.values, payoff.R.values
     upper = np.maximum(pv, rv)
@@ -208,8 +207,7 @@ def game_payoff(payoff: PayoffSpec, sigma: StoppingTime, tau: StoppingTime,
     s_node = sigma.stop_nodes_per_path()
     t_node = tau.stop_nodes_per_path()
     pay = np.where(t_lvl <= s_lvl, upper[t_node], pv[s_node])
-    w = tree.node_probs(measure)[tree.leaves]
-    return float(np.dot(w, pay))
+    return float(np.dot(tree.node_q[tree.leaves], pay))
 
 
 def brute_force_game(payoff: PayoffSpec, hz: ReducedHazard, cap: int = DEFAULT_ENUM_CAP,

@@ -244,7 +244,7 @@ def constrained_snell(payoff: PayoffSpec, hz: ReducedHazard) -> EuroSolveReport:
     """
     tree = shared_tree(payoff, hz)
     reward = AdaptedProcess(tree, payoff.stop_reward())
-    value, tau = snell_envelope(reward, "Q", hz.support_mask())
+    value, tau = snell_envelope(reward, hz.support_mask())
     return EuroSolveReport(value, tau_star=tau)
 
 

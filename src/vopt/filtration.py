@@ -4,8 +4,11 @@ Everything in this package runs on a :class:`FiniteTree`: a rooted tree whose
 level-k nodes are the atoms of F_{t_k}, carrying one-step transition
 probabilities under a base measure P and a pricing measure Q.  Conditional
 expectations are exact probability-weighted sums over children; nothing is
-sampled.  Trees and processes are immutable after construction, so every
-operation here is a pure function and safe to call concurrently.
+sampled.  ``condexp``, ``backward`` and ``martingale_residual`` run under
+either measure; the stopping layer works under Q alone, as every price bound
+is a stopping problem under Q.  Trees and processes are immutable after
+construction, so every operation here is a pure function and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -132,9 +135,6 @@ class FiniteTree:
         if measure == "Q":
             return self.q_edge
         raise TreeError(f"unknown measure {measure!r} (use 'P' or 'Q')")
-
-    def node_probs(self, measure: str) -> np.ndarray:
-        return self.node_p if measure == "P" else self.node_q
 
     def path_nodes(self) -> np.ndarray:
         """(n_leaves, N+1) matrix of the node at each time along each leaf path."""
@@ -453,8 +453,9 @@ def martingale_residual(tree: FiniteTree, x, measure: str = "Q") -> float:
                          for k in range(tree.n_periods)], initial=0.0))
 
 
-def doob_decomposition(x, measure: str = "Q", tol: float = 1e-12):
-    """Split a supermartingale into x = N - B (N martingale, B predictable, nondecreasing).
+def doob_decomposition(x, tol: float = 1e-12):
+    """Split a Q-supermartingale into x = N - B (N martingale, B predictable,
+    nondecreasing).
 
     B is the full predictable compensator; in discrete time there is no
     separate left-jump component.  Raises if ``x`` fails the supermartingale
@@ -470,7 +471,7 @@ def doob_decomposition(x, measure: str = "Q", tol: float = 1e-12):
         drop[sl] = xv[sl] - e
         return xv[sl]
 
-    backward(tree, xv, step, measure)
+    backward(tree, xv, step)
     bad = np.flatnonzero(drop < -tol)
     if bad.size:
         k = int(tree.level_of[bad[0]])
@@ -485,19 +486,28 @@ def doob_decomposition(x, measure: str = "Q", tol: float = 1e-12):
 # Optimal stopping
 # --------------------------------------------------------------------------
 
-def snell_envelope(reward, measure: str = "Q", allowed: np.ndarray | None = None):
-    """Smallest supermartingale dominating the reward on allowed nodes.
+def _stop_mask(tree: FiniteTree, allowed) -> np.ndarray:
+    """The nodes where stopping is allowed, one flag per node; every node
+    when ``allowed`` is None."""
+    if allowed is None:
+        return np.ones(tree.n_nodes, dtype=bool)
+    mask = np.asarray(allowed, dtype=bool)
+    if mask.shape != (tree.n_nodes,):
+        raise TreeError(f"stop mask has shape {mask.shape}, tree has {tree.n_nodes} nodes")
+    return mask
 
-    Backward induction ``value = max(reward, E[value_next])`` at allowed
+
+def snell_envelope(reward, allowed: np.ndarray | None = None):
+    """Smallest Q-supermartingale dominating the reward on allowed nodes.
+
+    Backward induction ``value = max(reward, E^Q[value_next])`` at allowed
     nodes, plain continuation elsewhere; at terminal nodes value = reward.
     Returns ``(value, tau_star)`` where ``tau_star`` stops at the earliest
     allowed node with reward >= continuation (ties stop).
     """
     tree = reward.tree
     rv = reward.values
-    if allowed is None:
-        allowed = np.ones(tree.n_nodes, dtype=bool)
-    allowed = np.asarray(allowed, dtype=bool)
+    allowed = _stop_mask(tree, allowed)
     if not np.all(allowed[tree.level_slice(tree.n_periods)]):
         raise TreeError("mask excludes a terminal node")
 
@@ -508,7 +518,7 @@ def snell_envelope(reward, measure: str = "Q", allowed: np.ndarray | None = None
         stop[sl] = ok & (rv[sl] >= cont)
         return np.where(ok, np.maximum(rv[sl], cont), cont)
 
-    value = backward(tree, rv, step, measure)
+    value = backward(tree, rv, step)
     return AdaptedProcess(tree, value), StoppingTime(tree, stop | StoppingTime.horizon(tree).stop)
 
 
@@ -524,9 +534,7 @@ def count_stopping_times(tree: FiniteTree, allowed: np.ndarray | None = None,
     if cap >= 2 ** 53:
         raise ValueError(f"cap {cap} is not below 2**53; counts past it are not "
                          "exact in float64")
-    if allowed is None:
-        allowed = np.ones(tree.n_nodes, dtype=bool)
-    allowed = np.asarray(allowed, dtype=bool)
+    allowed = _stop_mask(tree, allowed)
     counts = np.ones(tree.leaves.size)
     for k in range(tree.n_periods - 1, -1, -1):
         sl = tree.level_slice(k)
@@ -540,7 +548,9 @@ def count_stopping_times(tree: FiniteTree, allowed: np.ndarray | None = None,
 
 
 def _enumerate_stop_nodes(tree: FiniteTree, allowed: np.ndarray, cap: int) -> np.ndarray:
-    """(count, n_leaves) matrix: stop node per leaf path for every stopping time.
+    """(count, n_leaves) matrix: stop node per leaf path for every stopping time
+    with its stop nodes in ``allowed``; the oracle behind every sup/inf over
+    stopping times in the suites.
 
     The row count is checked against the counting formula, which also guards
     the cap before anything is built.
@@ -566,40 +576,18 @@ def _enumerate_stop_nodes(tree: FiniteTree, allowed: np.ndarray, cap: int) -> np
     return mat
 
 
-def enumerate_stopping_times(tree: FiniteTree, allowed: np.ndarray | None = None,
-                             cap: int = DEFAULT_ENUM_CAP) -> list[StoppingTime]:
-    """Exhaustive list of distinct stopping times with stop nodes in the mask.
-
-    Terminal nodes are always allowed.  The oracle behind every sup/inf over
-    stopping times in the test suites.
-    """
-    if allowed is None:
-        allowed = np.ones(tree.n_nodes, dtype=bool)
-    allowed = np.asarray(allowed, dtype=bool) | StoppingTime.horizon(tree).stop
-    mat = _enumerate_stop_nodes(tree, allowed, cap)
-    out = []
-    for row in mat:
-        out.append(StoppingTime.from_stop_nodes(tree, np.unique(row)))
-    return out
-
-
-def evaluate_stopping(reward, tau: StoppingTime, measure: str = "Q") -> float:
-    """Exact E[reward at the stopped node] under the chosen measure."""
+def evaluate_stopping(reward, tau: StoppingTime) -> float:
+    """Exact E^Q[reward at the stopped node]."""
     tree = shared_tree(reward, tau)
     nodes = tau.stop_nodes_per_path()
-    w = tree.node_probs(measure)[tree.leaves]
-    return float(np.dot(w, reward.values[nodes]))
+    return float(np.dot(tree.node_q[tree.leaves], reward.values[nodes]))
 
 
-def brute_force_snell_root(reward, measure: str = "Q",
-                           allowed: np.ndarray | None = None,
+def brute_force_snell_root(reward, allowed: np.ndarray | None = None,
                            cap: int = DEFAULT_ENUM_CAP) -> float:
     """max over all enumerated stopping times of evaluate_stopping (root value)."""
     tree = reward.tree
-    if allowed is None:
-        allowed = np.ones(tree.n_nodes, dtype=bool)
-    allowed = np.asarray(allowed, dtype=bool) | StoppingTime.horizon(tree).stop
+    allowed = _stop_mask(tree, allowed) | StoppingTime.horizon(tree).stop
     mat = _enumerate_stop_nodes(tree, allowed, cap)
-    w = tree.node_probs(measure)[tree.leaves]
-    vals = reward.values[mat] @ w
+    vals = reward.values[mat] @ tree.node_q[tree.leaves]
     return float(np.max(vals))

@@ -40,16 +40,18 @@ arithmetic they check.
 Each space builds, on first use, the G_k cell ids of every atom at every
 time, and the F- and G-cell masses of its own measure.  ``leaf_row``,
 ``theta`` and ``prob`` are the space's own read-only copies, so these cannot
-go stale.  A call whose ``weights`` are not the array ``prob`` (a Q^phi
-measure) sums its masses afresh.  The cached sums are the same ``bincount``
-over the same ids, so every result is bitwise what an uncached call gives.
+go stale.  A call with ``weights`` (a Q^phi measure) sums its masses afresh.
+The cached sums are the same ``bincount`` over the same ids, so every result
+is bitwise what an uncached call gives.
 
-``projections`` reads every F-projection off one mass table per measure,
-M[v, j] = mass through node v with theta = t_j (j = N+1: "after T"): one
-``bincount`` over (leaf, theta), summed up the tree one level at a time.  G
-and G~ are suffix sums at the node's level, dA^o its column, dA^p and pG the
-parent's column and suffix; m and n are one upward sum of leaf values times
-leaf masses.  ``projections-identities`` checks it against ``f_condexp``.
+A ``ProjectionBundle`` is under its space's own measure ``prob``; another
+measure is another space, ``ExtendedSpace(base, leaf_row, theta, w)``.
+``projections`` reads every F-projection off one mass table, M[v, j] = mass
+through node v with theta = t_j (j = N+1: "after T"): one ``bincount`` over
+(leaf, theta), summed up the tree one level at a time.  G and G~ are suffix
+sums at the node's level, dA^o its column, dA^p and pG the parent's column
+and suffix; m and n are one upward sum of leaf values times leaf masses.
+``projections-identities`` checks it against ``f_condexp``.
 
 ``cox_closed_form`` is a third route for a Cox random time, with no atoms:
 G is the path product of the one-step survival probabilities 1 - h, and the
@@ -196,9 +198,6 @@ class ExtendedSpace:
         # column j-1 of kappa, grouped by the time-(j-1) node of each path
         return _group_spread(tree.path_nodes()[:, :-1].ravel(), kappa, tree.n_nodes)
 
-    def _own(self, weights) -> bool:
-        return weights is None or weights is self.prob
-
     def _stacked(self, x, weights):
         """(x, w) with a stack axis: x as (K, n_atoms, cols), w as (K or 1,
         n_atoms, 1); and whether x came with one."""
@@ -225,14 +224,16 @@ class ExtendedSpace:
         ``x`` holds one value per atom, or one column per time k = 0..N; the
         level-k nodes get the conditional expectation of column k.  A stack
         (K, n_atoms, N+1) of such tables gives (K, n_nodes), under one measure
-        or under one per row (``weights`` (K, n_atoms)).  A zero-mass cell
-        raises for the first row that has one, at its first such node.
+        or under one per row (``weights`` (K, n_atoms)).  ``weights=None``
+        means the space's own masses ``prob``, read from the cached cell
+        masses.  A zero-mass cell raises for the first row that has one, at
+        its first such node.
         """
         xs, ws, stacked = self._stacked(x, weights)
         count, size = xs.shape[0], self.base.n_nodes
         ids = self._row_ids(self.node_at, count, size)
         num = self._sums(ids, ws * xs, count * size).reshape(count, size)
-        if self._own(weights):
+        if weights is None:
             den = self._f_mass
         else:
             rows = ws.shape[0]
@@ -264,7 +265,7 @@ class ExtendedSpace:
         np.multiply(ws, xs, out=buf[..., :cols])
         num = self._sums(ids, buf, count * size).reshape(count, size)
         den = self._g_mass
-        if not self._own(weights):
+        if weights is not None:
             rows = ws.shape[0]
             buf[:rows] = ws
             den = self._sums(ids[:rows], buf[:rows], rows * size).reshape(rows, size)
@@ -285,10 +286,6 @@ class ExtendedSpace:
         """A_t = 1{theta <= t} on atoms, shape (n_atoms, N+1)."""
         ks = np.arange(self.base.n_periods + 1)
         return (self.theta[:, None] <= ks[None, :]).astype(float)
-
-    def sigma_levels(self, sigma: StoppingTime) -> np.ndarray:
-        """Per atom, the time index at which sigma stops along the atom's path."""
-        return sigma.stop_levels()[self.leaf_row]
 
 
 # --------------------------------------------------------------------------
@@ -366,7 +363,8 @@ def _space_from_kernel(tree: FiniteTree, kernel: np.ndarray, residual: np.ndarra
 
 @dataclass
 class ProjectionBundle:
-    """Every survival/hazard object of the reduced-form toolkit, exactly.
+    """Every survival/hazard object of the reduced-form toolkit, exactly,
+    under the measure ``ext.prob`` of its space.
 
     All members are node-indexed processes except ``mG``/``nG`` which live on
     the extension (atom x time) and are built on first use.  ``dAo``/``dAp``
@@ -376,7 +374,6 @@ class ProjectionBundle:
     """
 
     ext: ExtendedSpace
-    weights: np.ndarray
     G: AdaptedProcess
     Gtilde: AdaptedProcess
     Ao: AdaptedProcess
@@ -484,17 +481,15 @@ def survival_tables(ext: ExtendedSpace, weights: np.ndarray | None = None) -> Su
     return SurvivalTables(M, S, G, Gt, dAo, forward(tree, dAo / Gt, np.add, 0.0))
 
 
-def projections(ext: ExtendedSpace, weights: np.ndarray | None = None) -> ProjectionBundle:
-    """Compute G, G~, A^o, A^p, Gamma, Gamma~, m, n, m^G, n^G on the extension.
-
-    ``weights`` overrides the atom measure (used to redo everything under an
-    equivalent measure); defaults to the extension's own measure.  Every
-    F-projection is read off the mass table of :func:`survival_tables`.
+def projections(ext: ExtendedSpace) -> ProjectionBundle:
+    """Compute G, G~, A^o, A^p, Gamma, Gamma~, m, n, m^G, n^G on the extension,
+    under its own measure ``ext.prob`` (for another measure, build the space
+    with those masses).  Every F-projection is read off the mass table of
+    :func:`survival_tables`.
     """
     tree = ext.base
     n = tree.n_periods
-    w = ext.prob if weights is None else np.asarray(weights, dtype=float)
-    sv = survival_tables(ext, w)
+    sv = survival_tables(ext)
     M, S, G, dAo = sv.M[:, 0], sv.S[:, 0], sv.G, sv.dAo
     mass = S[:, 0]
 
@@ -519,7 +514,7 @@ def projections(ext: ExtendedSpace, weights: np.ndarray | None = None) -> Projec
     m, nn = (_up_sums(tree, closing * mass[leaves, None]) / mass[:, None]).T
 
     P = lambda x: AdaptedProcess(tree, x)
-    return ProjectionBundle(ext, w, P(G), P(sv.Gtilde), P(Ao), P(Ap), P(dAo), P(dAp),
+    return ProjectionBundle(ext, P(G), P(sv.Gtilde), P(Ao), P(Ap), P(dAo), P(dAp),
                             P(Gam), P(sv.GammaTilde), P(m), P(nn), P(pG))
 
 
@@ -603,12 +598,6 @@ class IdentityReport:
     def max_residual(self) -> float:
         """Largest residual; NaN as soon as any residual is NaN."""
         return float(np.max(list(self.residuals.values())))
-
-    def passed(self, tol: float = IDENTITY_TOL) -> bool:
-        return self.max_residual <= tol
-
-    def failures(self, tol: float = IDENTITY_TOL) -> list[str]:
-        return [k for k, v in self.residuals.items() if not v <= tol]
 
 
 def _prev_values(tree: FiniteTree, x: np.ndarray, root_value: float) -> np.ndarray:
@@ -694,8 +683,8 @@ def key_lemma(bundle: ProjectionBundle, x: AdaptedProcess, variant: str = "optio
 
     Pre-default cells use G_t^{-1} E[sum_{j>t} X_j dA_j + X_T G_T | F_t] with
     the optional (dA^o) or predictable (dA^p) integrator; on the "after T"
-    atom X_theta is read at the horizon.  The extension and the atom measure
-    are those of ``bundle``.  The result must match the direct conditional
+    atom X_theta is read at the horizon.  The extension and its measure are
+    those of ``bundle``.  The result must match the direct conditional
     expectation on the extension, cell-wise at every t to ``tol`` (checked
     here; a mismatch is an implementation bug, not an input property).  One
     F-projection of the tails for all t and one G-projection of X_theta make
@@ -706,7 +695,6 @@ def key_lemma(bundle: ProjectionBundle, x: AdaptedProcess, variant: str = "optio
     if variant not in ("optional", "predictable"):
         raise ValueError(f"unknown variant {variant!r}")
     xv = _vals(x)
-    w = bundle.weights
     if variant == "predictable":
         spread = _sibling_spread(tree, xv)
         if not spread <= tol:
@@ -722,7 +710,7 @@ def key_lemma(bundle: ProjectionBundle, x: AdaptedProcess, variant: str = "optio
                            np.zeros((paths.shape[0], 1))], axis=1)  # column t: j > t
     sentinel = xv[tree.leaves] * bundle.G.values[tree.leaves]
 
-    pre_num = ext.f_condexp((tail + sentinel[:, None])[ext.leaf_row], w)
+    pre_num = ext.f_condexp((tail + sentinel[:, None])[ext.leaf_row])
     G = bundle.G.values
     if np.any(G <= 0.0):
         raise HazardError("G = 0 encountered in the key lemma at a live cell")
@@ -730,7 +718,7 @@ def key_lemma(bundle: ProjectionBundle, x: AdaptedProcess, variant: str = "optio
     live = ext.theta[:, None] > np.arange(tree.n_periods + 1)
     out = np.where(live, pre_num[ext.node_at] / G[ext.node_at], x_theta[:, None])
 
-    direct = ext.g_condexp(x_theta, w)
+    direct = ext.g_condexp(x_theta)
     err = float(np.max(np.abs(out - direct)))
     if not err <= tol:
         raise IdentityError(f"key lemma ({variant}) disagrees with the direct "
@@ -861,8 +849,8 @@ def full_price_assembly(bundle: ProjectionBundle, payoff,
                         tol: float = IDENTITY_TOL) -> AssemblyReport:
     """Assemble the full price: reduced value before theta, recovery from theta on.
 
-    ``bundle`` holds the projections of the extension ``bundle.ext`` under its
-    own measure.  The reduced price is the backward solve from the European
+    ``bundle`` holds the projections of the extension ``bundle.ext``, under its
+    own measure as every bundle is.  The reduced price is the backward solve from the European
     module run on the hazard written in survival-odds coordinates
     (delta = pi / (1 - pi)), which makes the implicit backward step the exact
     one-step conditional expectation on this extension.  The assembled process
@@ -875,9 +863,6 @@ def full_price_assembly(bundle: ProjectionBundle, payoff,
     from .european import ReducedHazard, reduced_price_linear
 
     ext = bundle.ext
-    if bundle.weights is not ext.prob and not np.array_equal(bundle.weights, ext.prob):
-        raise ValueError("full_price_assembly needs the projections under the "
-                         "extension's own measure")
     tree = ext.base
     n = tree.n_periods
     if sigma is None:
@@ -895,9 +880,8 @@ def full_price_assembly(bundle: ProjectionBundle, payoff,
     dens = mc.density_eta(phi, bundle)
     qphi = dens.qphi
 
-    sig_lvl = ext.sigma_levels(sigma)
     sig_node = sigma.stop_nodes_per_path()[ext.leaf_row]
-    default_first = ext.theta <= sig_lvl
+    default_first = ext.theta <= sigma.stop_levels()[ext.leaf_row]
     dec_node = tree.parent[ext.default_node]
     terminal_pay = np.where(default_first, payoff.R.values[dec_node],
                             payoff.P.values[sig_node])

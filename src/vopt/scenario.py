@@ -1,11 +1,12 @@
 """Scenario files: one JSON document describing an instance and a suite run.
 
-Sections: ``tree`` (grid, branching, probabilities or a terminal density),
-``hazard`` (per-node one-step hazards ``h`` for the extension and reduced
-increments ``delta``), ``payoff`` (P and R node tables), ``phi`` (control
-sampling), ``suites``, ``tolerances``, ``penalty_ladder``, an optional
-``random_family`` block for the batch identity checks, and ``output``.
-Fixtures are plain JSON so regressions diff cleanly.
+Sections: ``name``, ``tree`` (grid, branching, probabilities or a terminal
+density), ``hazard`` (per-node one-step hazards ``h`` for the extension and
+reduced increments ``delta``), ``payoff`` (P and R node tables), ``phi``
+(control sampling), ``suites``, ``tolerances``, ``penalty_ladder``, an
+optional ``random_family`` block for the batch identity checks, and
+``output``; any other top-level key is an error.  Fixtures are plain JSON so
+regressions diff cleanly.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ DEFAULT_TOLERANCES = {
     "rbsde": 1e-10,
     "game": 1e-5,
 }
+
+SCENARIO_KEYS = ("name", "tree", "hazard", "payoff", "phi", "suites", "tolerances",
+                 "penalty_ladder", "random_family", "output")
 
 ALL_SUITES = [
     "projections-identities",
@@ -119,14 +123,29 @@ class Scenario:
         return out
 
 
+def _real(x, where: str) -> float:
+    """A real input; a boolean or a string never is one."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ScenarioError(f"{where}: {x!r} is not a number")
+    return float(x)
+
+
+def _reals(row: list, where: str) -> np.ndarray:
+    """A list of real inputs as an array; the error names the first entry
+    that is not one."""
+    if not all(t is not bool and issubclass(t, (int, float)) for t in set(map(type, row))):
+        for i, x in enumerate(row):
+            _real(x, f"{where}[{i}]")
+    return np.asarray(row, dtype=float)
+
+
 def _node_table(tree: FiniteTree, spec, where: str) -> np.ndarray:
-    """Materialize a per-node value table: constant or per-level lists."""
-    if isinstance(spec, (int, float)):
-        return np.full(tree.n_nodes, float(spec))
+    """Materialize a per-node value table: a number, ``constant`` or
+    per-level lists (a number per node, or one for the whole level)."""
     if not isinstance(spec, dict):
-        raise ScenarioError(f"{where}: expected a number or an object")
+        return np.full(tree.n_nodes, _real(spec, where))
     if "constant" in spec:
-        return np.full(tree.n_nodes, float(spec["constant"]))
+        return np.full(tree.n_nodes, _real(spec["constant"], f"{where}.constant"))
     if "by_level" in spec:
         rows = spec["by_level"]
         if len(rows) != tree.n_periods + 1:
@@ -134,7 +153,8 @@ def _node_table(tree: FiniteTree, spec, where: str) -> np.ndarray:
                                 f"{tree.n_periods + 1}")
         out = np.empty(tree.n_nodes)
         for k, row in enumerate(rows):
-            vals = np.asarray(row, dtype=float).ravel()
+            at = f"{where}.by_level[{k}]"
+            vals = _reals(row, at) if isinstance(row, list) else np.array([_real(row, at)])
             if vals.size == 1:
                 vals = np.full(tree.level_size(k), vals[0])
             if vals.size != tree.level_size(k):
@@ -174,8 +194,7 @@ def _section(name: str):
 def _whole(x, where: str, low: int | None = None) -> int:
     """An integer input of at least ``low``; a float is accepted only when it
     is a whole number, and a string or a boolean never."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ScenarioError(f"{where}: {x!r} is not a number")
+    _real(x, where)
     if isinstance(x, float) and not x.is_integer():
         raise ScenarioError(f"{where}: {x!r} is not a whole number")
     if low is not None and x < low:
@@ -195,6 +214,9 @@ def _object(raw: dict, key: str) -> dict:
 def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("a scenario must be a JSON object")
+    for key in raw:
+        if key not in SCENARIO_KEYS:
+            raise ScenarioError(f"{key}: unknown key (known: {', '.join(SCENARIO_KEYS)})")
     if "tree" not in raw:
         raise ScenarioError("missing 'tree' section")
     with _section("tree"):
@@ -254,7 +276,10 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     out_dir = _object(raw, "output").get("dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ScenarioError(f"output.dir: {out_dir!r} is not a string")
-    return Scenario(name=raw.get("name", name_hint), tree=tree, hazard_h=hazard_h,
+    name = raw.get("name", name_hint)
+    if not isinstance(name, str):
+        raise ScenarioError(f"name: {name!r} is not a string")
+    return Scenario(name=name, tree=tree, hazard_h=hazard_h,
                     hazard_delta=hazard_delta, payoff=payoff,
                     phi_seed=phi_seed, phi_count=phi_count,
                     suites=list(suites), tolerances=tol, penalty_ladder=ladder,

@@ -223,7 +223,7 @@ def suite_european_duality(sc: Scenario) -> SuiteResult:
     skipped = {}
     try:
         reward = AdaptedProcess(tree, payoff.stop_reward())
-        bf = brute_force_snell_root(reward, "Q", hz.support_mask())
+        bf = brute_force_snell_root(reward, hz.support_mask())
         oracle_gap = abs(bf - snell.value.values[0])
     except EnumerationCapError as e:
         skipped = {"enumeration": f"skipped: {e}"}
@@ -277,7 +277,7 @@ def suite_american_upper(sc: Scenario) -> SuiteResult:
     oracle_gap = 0.0
     skipped = {}
     try:
-        bf = brute_force_snell_root(modified_payoff(payoff, hz), "Q")
+        bf = brute_force_snell_root(modified_payoff(payoff, hz))
         oracle_gap = abs(bf - target.value.values[0])
     except EnumerationCapError as e:
         skipped = {"enumeration": f"skipped: {e}"}
@@ -333,12 +333,12 @@ def suite_oracle_equivalence(sc: Scenario) -> SuiteResult:
         except EnumerationCapError:
             continue
         reward = AdaptedProcess(tree, rng.uniform(0.0, 3.0, tree.n_nodes))
-        w = tree.node_probs("Q")[tree.leaves]
+        w = tree.node_q[tree.leaves]
         for mask, mat in zip(masks, stop_nodes):
-            val, tau = snell_envelope(reward, "Q", mask)
+            val, tau = snell_envelope(reward, mask)
             bf = float(np.max(reward.values[mat] @ w))
             worst = _worst(worst, abs(val.values[0] - bf),
-                           abs(evaluate_stopping(reward, tau, "Q") - val.values[0]))
+                           abs(evaluate_stopping(reward, tau) - val.values[0]))
         count += 1
     return SuiteResult("oracle-equivalence", worst <= tol, worst, tol, 0.0,
                        {"instances": count})

@@ -61,7 +61,7 @@ def test_reflected_zero_generator_is_snell():
     pay = random_payoff(rng, tree)
     hz = random_delta_hazard(rng, tree)
     rep = reflected_gbsde_solve("none", 0.0, pay, hz)
-    snell, _ = snell_envelope(pay.P, "Q")
+    snell, _ = snell_envelope(pay.P)
     assert np.max(np.abs(rep.value.values - snell.values)) <= TOL
     assert rep.max_skorokhod_residual() <= TOL
 
@@ -123,7 +123,7 @@ def test_rbsde_vs_weighted_trivial_cases():
                      AdaptedProcess.constant(tree, 0.0))
     hz = ReducedHazard(tree, np.zeros(tree.n_nodes))
     rep = rbsde_vs_weighted_optstop(pay, hz)
-    snell, _ = snell_envelope(pay.P, "Q")
+    snell, _ = snell_envelope(pay.P)
     assert np.max(np.abs(rep.value_rbsde.values - snell.values)) <= TOL
     assert rep.max_diff <= 1e-10
 
@@ -190,7 +190,7 @@ def test_upper_price_reduces_to_snell_without_support():
     pay = random_payoff(rng, tree)
     hz = ReducedHazard(tree, np.zeros(tree.n_nodes))
     up = american_upper_price(pay, hz)
-    snell, _ = snell_envelope(pay.P, "Q")
+    snell, _ = snell_envelope(pay.P)
     assert np.max(np.abs(up.value.values - snell.values)) <= TOL
 
 
@@ -203,7 +203,7 @@ def test_upper_price_limit_and_oracle():
         target = american_upper_price(pay, hz)
         pen = penalized_american_upper(2 ** 20, pay, hz)
         assert np.max(np.abs(pen.value.values - target.value.values)) <= 1e-5
-        bf = brute_force_snell_root(modified_payoff(pay, hz), "Q")
+        bf = brute_force_snell_root(modified_payoff(pay, hz))
         assert target.value.values[0] == pytest.approx(bf, abs=TOL)
 
 
@@ -229,7 +229,7 @@ def test_game_support_only_horizon_is_snell():
     pay = random_payoff(rng, tree, r_dominates=True)
     hz = ReducedHazard(tree, np.zeros(tree.n_nodes))
     game = constrained_dynkin_game(pay, hz)
-    snell, _ = snell_envelope(pay.P, "Q")
+    snell, _ = snell_envelope(pay.P)
     assert np.max(np.abs(game.value.values - snell.values)) <= TOL
 
 

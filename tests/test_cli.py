@@ -118,6 +118,16 @@ BAD_INPUTS = {
     "unknown tolerance": _set(["tolerances", "identiy"], 1e-12),
     "infinite tolerance": _set(["tolerances", "identity"], INF),
     "string terminal_absorption": _set(["hazard", "terminal_absorption"], "no"),
+    "name not a string": _set(["name"], [1]),
+    "unknown top-level key": _set(["sutes"], []),
+    # node tables hold real numbers: no booleans, no numeric strings
+    "boolean payoff": _set(["payoff", "P"], True),
+    "string payoff": _set(["payoff", "R"], "0.5"),
+    "boolean constant": _set(["payoff", "R"], {"constant": True}),
+    "string constant": _set(["hazard", "delta"], {"constant": "0.5"}),
+    "boolean by_level entry": _set(["payoff", "P", "by_level", 2, 1], True),
+    "string by_level entry": _set(["hazard", "h", "by_level", 1, 0], "0.2"),
+    "string by_level row": _set(["hazard", "h", "by_level", 3], "0.0"),
 }
 # the scenario key that the error of each of these cases must name first
 NAMED_KEY = {
@@ -131,6 +141,12 @@ NAMED_KEY = {
     "random_family max_branching 1": "random_family.max_branching",
     "unknown tolerance": "tolerances.identiy", "infinite tolerance": "tolerances.identity",
     "string terminal_absorption": "hazard.terminal_absorption",
+    "name not a string": "name", "unknown top-level key": "sutes",
+    "boolean payoff": "payoff.P", "string payoff": "payoff.R",
+    "boolean constant": "payoff.R.constant", "string constant": "hazard.delta.constant",
+    "boolean by_level entry": "payoff.P.by_level[2][1]",
+    "string by_level entry": "hazard.h.by_level[1][0]",
+    "string by_level row": "hazard.h.by_level[3]",
 }
 
 

@@ -191,7 +191,7 @@ def test_constrained_snell_equals_enumeration():
         reward = pay.R.values.copy()
         term = tree.level_slice(tree.n_periods)
         reward[term] = pay.P.values[term]
-        bf = brute_force_snell_root(AdaptedProcess(tree, reward), "Q", hz.support_mask())
+        bf = brute_force_snell_root(AdaptedProcess(tree, reward), hz.support_mask())
         assert rep.value.values[0] == pytest.approx(bf, abs=TOL)
 
 

@@ -1,5 +1,7 @@
 """Trees, conditional expectations, Doob decomposition, Snell envelopes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from vopt.errors import EnumerationCapError, IdentityError, TreeError
 from vopt.filtration import (AdaptedProcess, StoppingTime, TimeGrid, backward,
                              brute_force_snell_root, build_tree, condexp,
                              count_stopping_times, doob_decomposition,
-                             enumerate_stopping_times, evaluate_stopping, forward,
-                             martingale_residual, snell_envelope)
+                             evaluate_stopping, forward, martingale_residual,
+                             snell_envelope)
 from vopt.instances import random_tree
 
 TOL = 1e-12
@@ -156,7 +158,7 @@ def test_doob_properties_random():
     for _ in range(10):
         tree = random_tree(rng)
         reward = AdaptedProcess(tree, rng.uniform(0, 3, tree.n_nodes))
-        value, _ = snell_envelope(reward, "Q")
+        value, _ = snell_envelope(reward)
         n, b = doob_decomposition(value)
         assert martingale_residual(tree, n.values, "Q") <= TOL
         # B nondecreasing and predictable by construction; increases only on contact
@@ -174,7 +176,7 @@ def test_doob_properties_random():
 def test_snell_monotone_reward_stops_at_horizon():
     tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
     reward = AdaptedProcess(tree, tree.level_of.astype(float))
-    value, tau = snell_envelope(reward, "Q")
+    value, tau = snell_envelope(reward)
     assert value.values[0] == pytest.approx(2.0, abs=TOL)
     assert tau.stop_levels().min() == tree.n_periods
 
@@ -182,11 +184,11 @@ def test_snell_monotone_reward_stops_at_horizon():
 def test_snell_immediate_stop():
     tree = one_period()
     reward = AdaptedProcess(tree, np.array([10.0, 2.0, 0.0]))
-    value, tau = snell_envelope(reward, "Q")
+    value, tau = snell_envelope(reward)
     assert value.values[0] == pytest.approx(10.0, abs=TOL)
     assert tau.stop[0]
     # a tie between reward and continuation stops
-    _, tau = snell_envelope(AdaptedProcess(tree, np.array([1.0, 2.0, 0.0])), "Q")
+    _, tau = snell_envelope(AdaptedProcess(tree, np.array([1.0, 2.0, 0.0])))
     assert tau.stop[0]
 
 
@@ -197,10 +199,10 @@ def test_snell_equals_enumeration():
         reward = AdaptedProcess(tree, rng.uniform(0, 3, tree.n_nodes))
         mask = rng.random(tree.n_nodes) < 0.6
         mask |= StoppingTime.horizon(tree).stop
-        value, tau = snell_envelope(reward, "Q", mask)
+        value, tau = snell_envelope(reward, mask)
         assert value.values[0] == pytest.approx(
-            brute_force_snell_root(reward, "Q", mask), abs=TOL)
-        assert evaluate_stopping(reward, tau, "Q") == pytest.approx(
+            brute_force_snell_root(reward, mask), abs=TOL)
+        assert evaluate_stopping(reward, tau) == pytest.approx(
             value.values[0], abs=TOL)
         # supermartingale dominating the masked reward
         ce_ok = all(np.all(condexp(tree, value.values, k, "Q")
@@ -214,7 +216,20 @@ def test_snell_mask_must_include_terminals():
     tree = one_period()
     mask = np.array([True, True, False])
     with pytest.raises(TreeError, match="terminal"):
-        snell_envelope(AdaptedProcess.constant(tree, 1.0), "Q", mask)
+        snell_envelope(AdaptedProcess.constant(tree, 1.0), mask)
+
+
+def test_stop_masks_need_one_flag_per_node():
+    tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
+    reward = AdaptedProcess(tree, np.arange(tree.n_nodes, dtype=float))
+    for mask in (np.ones(5, dtype=bool), np.ones(9, dtype=bool), "Q"):
+        shape = np.shape(mask)
+        msg = rf"^stop mask has shape {re.escape(str(shape))}, tree has 7 nodes$"
+        for call in (lambda: snell_envelope(reward, mask),
+                     lambda: count_stopping_times(tree, mask),
+                     lambda: brute_force_snell_root(reward, mask)):
+            with pytest.raises(TreeError, match=msg):
+                call()
 
 
 def test_stopping_time_counts():
@@ -224,7 +239,10 @@ def test_stopping_time_counts():
     tree3 = build_tree({"times": [0, 1, 2, 3], "branching": 2, "p": "uniform"})
     # c(node) = 1 + prod over children c(child): 1 -> 2 -> 5 -> 26
     assert count_stopping_times(tree3) == 26
-    assert len(enumerate_stopping_times(tree3)) == 26
+    # the enumeration oracle lists 26 distinct stopping times
+    rows = filtration._enumerate_stop_nodes(tree3, np.ones(tree3.n_nodes, dtype=bool),
+                                            filtration.DEFAULT_ENUM_CAP)
+    assert np.unique(rows, axis=0).shape == (26, tree3.leaves.size)
 
 
 def test_enumeration_cap():
@@ -237,14 +255,14 @@ def test_evaluate_stopping_examples():
     tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
     reward = AdaptedProcess(tree, np.arange(tree.n_nodes, dtype=float))
     root_stop = StoppingTime.from_stop_nodes(tree, [0])
-    assert evaluate_stopping(reward, root_stop, "Q") == pytest.approx(0.0, abs=TOL)
+    assert evaluate_stopping(reward, root_stop) == pytest.approx(0.0, abs=TOL)
     horizon = StoppingTime.horizon(tree)
     chain = backward(tree, reward.values[tree.level_slice(2)])[0]
-    assert evaluate_stopping(reward, horizon, "Q") == pytest.approx(chain, abs=TOL)
+    assert evaluate_stopping(reward, horizon) == pytest.approx(chain, abs=TOL)
     # arbitrary stop set vs hand path-sum
     tau = StoppingTime.from_stop_nodes(tree, [1])
     hand = 0.5 * reward.values[1] + 0.5 * (0.5 * reward.values[5] + 0.5 * reward.values[6])
-    assert evaluate_stopping(reward, tau, "Q") == pytest.approx(hand, abs=TOL)
+    assert evaluate_stopping(reward, tau) == pytest.approx(hand, abs=TOL)
 
 
 def test_stopping_time_requires_terminal_stop():
@@ -497,4 +515,5 @@ def test_enumeration_rows_are_checked_against_the_count(monkeypatch):
     monkeypatch.setattr(filtration, "count_stopping_times",
                         lambda *a, **k: real(*a, **k) + 1)
     with pytest.raises(IdentityError, match="enumerated 5 stopping times"):
-        enumerate_stopping_times(tree)
+        filtration._enumerate_stop_nodes(tree, np.ones(tree.n_nodes, dtype=bool),
+                                         filtration.DEFAULT_ENUM_CAP)

@@ -36,7 +36,7 @@ def under_phi(b, phi):
     """The density of Q^phi; the survival tables its rules read are the
     projections rebuilt under it."""
     dens = density_eta(phi, b)
-    tilted = projections(b.ext, dens.qphi)
+    tilted = projections(ExtendedSpace(b.ext.base, b.ext.leaf_row, b.ext.theta, dens.qphi))
     for name in ("G", "Gtilde", "dAo", "GammaTilde"):
         assert np.array_equal(getattr(dens.tilted, name), getattr(tilted, name).values)
     return dens

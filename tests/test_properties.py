@@ -13,8 +13,8 @@ from vopt.filtration import AdaptedProcess, StoppingTime, forward
 from vopt.instances import (random_delta_hazard, random_extension, random_payoff,
                             random_phi, random_tree)
 from vopt.measure_change import density_eta
-from vopt.random_time import (BUNDLE_COLUMNS, HazardSpec, cox_closed_form, cox_extend,
-                              key_lemma, projections)
+from vopt.random_time import (BUNDLE_COLUMNS, ExtendedSpace, HazardSpec, cox_closed_form,
+                              cox_extend, key_lemma, projections)
 
 TOL = 1e-12
 
@@ -30,6 +30,12 @@ def build(seed, kind, tilted):
     ext = random_extension(rng, tree, kind)
     w = ext.prob * rng.uniform(0.2, 5.0, ext.n_atoms) if tilted else ext.prob
     return ext, w / w.sum(), rng
+
+
+def space_of(ext, w, tilted):
+    """The space whose own measure is the built one: ``ext`` itself, or its
+    atoms with the tilted masses ``w``."""
+    return ExtendedSpace(ext.base, ext.leaf_row, ext.theta, w) if tilted else ext
 
 
 def bayes_f(ext, x, w):
@@ -132,7 +138,7 @@ def test_primitives_equal_uncached_bincounts(inst):
 def key_lemma_at(bundle, xv, t, variant):
     """E[X_theta | G_t] for one t, from uncached per-t projections."""
     ext, tree = bundle.ext, bundle.ext.base
-    w = bundle.weights
+    w = bundle.ext.prob
     d_int = (bundle.dAp if variant == "predictable" else bundle.dAo).values
     paths = tree.path_nodes()
     contrib = xv[paths[:, 1:]] * d_int[paths[:, 1:]]
@@ -150,7 +156,7 @@ def key_lemma_at(bundle, xv, t, variant):
 def test_key_lemma_columns_equal_per_time_reference(inst):
     ext, w, rng = build(*inst)
     tree = ext.base
-    bundle = projections(ext, w if inst[2] else None)
+    bundle = projections(space_of(ext, w, inst[2]))
     x = rng.uniform(0.0, 3.0, tree.n_nodes)
     xp = x.copy()
     xp[1:] = x[tree.parent[1:]]
@@ -219,7 +225,7 @@ def condexp_projections(ext, w):
 @given(instances)
 def test_mass_table_is_no_less_accurate_than_condexp(inst):
     ext, w, _ = build(*inst)
-    bundle = projections(ext, w if inst[2] else None)
+    bundle = projections(space_of(ext, w, inst[2]))
     exact = exact_projections(ext, w)
     direct = condexp_projections(ext, w)
     for name in FIELDS:
