@@ -9,10 +9,22 @@ either measure; the stopping layer works under Q alone, as every price bound
 is a stopping problem under Q.  Trees and processes are immutable after
 construction, so every operation here is a pure function and safe to call
 concurrently.
+
+Construction.  Every tree comes from one array-level constructor,
+:func:`tree_from_counts`: :func:`build_tree` parses a scenario spec into its
+arrays (the children of each node, level by level, and each node's row of
+edge weights, laid end to end), and ``instances.random_tree`` draws them.
+Structure and edges are filled by whole-array operations.  A
+:class:`FiniteTree` checks its structure and each measure once, and
+:func:`reweight_by_density` shares every P-side array of the tree it
+reweights and checks only the new Q edges.  Each tree computes its level
+slices, its ``sum_over_children`` offsets and its leaves once, at
+construction.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -34,12 +46,12 @@ class TimeGrid:
         object.__setattr__(self, "times", t)
         if t.ndim != 1 or t.size < 2:
             raise TreeError("time grid needs at least one period")
-        if not np.all(np.isfinite(t)):
-            raise TreeError(f"time grid entry {int(np.flatnonzero(~np.isfinite(t))[0])} "
-                            "is not finite")
+        finite = np.isfinite(t)
+        if not finite.all():
+            raise TreeError(f"time grid entry {int(finite.argmin())} is not finite")
         if t[0] != 0.0:
             raise TreeError("time grid must start at t_0 = 0")
-        if np.any(np.diff(t) <= 0.0):
+        if (t[1:] <= t[:-1]).any():
             raise TreeError("time grid must be strictly increasing")
 
     @property
@@ -66,65 +78,63 @@ class FiniteTree:
         self.p_edge = p_edge
         self.q_edge = q_edge
         self.level_start = level_start
-        self.n_periods = grid.steps
-        self.n_nodes = int(level_start[-1])
-        self.level_of = np.repeat(np.arange(self.n_periods + 1),
-                                  np.diff(level_start).astype(int))
-        # Probability of reaching each node from the root.
-        self.node_p = self._path_products(p_edge)
-        self.node_q = self._path_products(q_edge)
+        self.n_periods = n = grid.steps
+        bounds = level_start.tolist()
+        self.n_nodes = bounds[-1]
+        self._slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.level_of = np.repeat(np.arange(n + 1), [sl.stop - sl.start for sl in self._slices])
+        self.leaves = np.arange(bounds[n], bounds[n + 1])
+        # sum_over_children's reduceat offsets of each level's child groups
+        self._child_offsets = [first_child[self._slices[k]] - bounds[k + 1] for k in range(n)]
+        # Probability of reaching each node from the root, both measures in one sweep.
+        if q_edge is p_edge:
+            self.node_p = self.node_q = forward(self, p_edge, np.multiply, 1.0)
+        else:
+            self.node_p, self.node_q = forward(self, np.array((p_edge, q_edge)), np.multiply, 1.0)
         self._path_nodes: np.ndarray | None = None
-        self._validate()
+        self._check_measure("P", p_edge)
+        if q_edge is not p_edge and not np.array_equal(q_edge, p_edge):   # Q = P: checked once
+            self._check_measure("Q", q_edge)
+        if self.n_children[self._slices[n]].any():
+            raise TreeError("terminal node with children")
+        dangling = self.n_children[:bounds[n]] < 1
+        if dangling.any():
+            raise TreeError(f"dangling node at level {int(self.level_of[dangling.argmax()])} "
+                            "(no children)")
 
-    # -- construction helpers -------------------------------------------------
-
-    def _path_products(self, edge: np.ndarray) -> np.ndarray:
-        return forward(self, edge, np.multiply, 1.0)
-
-    def _validate(self):
-        inner = int(self.level_start[self.n_periods])
+    def _check_measure(self, name: str, edge: np.ndarray):
+        """Every edge of one measure finite and positive, and every sibling
+        group summing to 1; the first failing node is named."""
+        if not ((edge > 0.0) & (edge < np.inf)).all():
+            finite = np.isfinite(edge)
+            if not finite.all():
+                raise TreeError(f"{name}-probability of edge into node {int(finite.argmin())} "
+                                "is not finite")
+            raise TreeError(
+                f"{name}-probability of edge into node {int((edge <= 0.0).argmax())} is not "
+                "strictly positive (breaks measure equivalence)")
         # the children of the inner nodes, taken in parent order, are the nodes
         # 1, 2, ...: one reduceat over their edges sums every sibling group
-        offsets = self.first_child[:inner] - 1
-        measures = [("P", self.p_edge)]
-        if not np.array_equal(self.q_edge, self.p_edge):    # Q = P is checked once
-            measures.append(("Q", self.q_edge))
-        for name, edge in measures:
-            if not np.all(np.isfinite(edge)):
-                v = int(np.flatnonzero(~np.isfinite(edge))[0])
-                raise TreeError(f"{name}-probability of edge into node {v} is not finite")
-            if np.any(edge <= 0.0):
-                v = int(np.flatnonzero(edge <= 0.0)[0])
-                raise TreeError(
-                    f"{name}-probability of edge into node {v} is not strictly "
-                    "positive (breaks measure equivalence)")
-            sums = np.add.reduceat(edge[1:], offsets)
-            bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-            if bad.size:
-                node = int(bad[0])
-                raise TreeError(
-                    f"probabilities do not sum to 1 under {name} at node "
-                    f"{node} (level {int(self.level_of[node])}, sum {sums[node]:.12g})")
-        if np.any(self.n_children[self.level_slice(self.n_periods)] != 0):
-            raise TreeError("terminal node with children")
-        for k in range(self.n_periods):
-            if np.any(self.n_children[self.level_slice(k)] < 1):
-                raise TreeError(f"dangling node at level {k} (no children)")
+        sums = np.add.reduceat(edge[1:], self.first_child[:self._slices[-1].start] - 1)
+        bad = np.abs(sums - 1.0) > 1e-9
+        if bad.any():
+            node = int(bad.argmax())
+            raise TreeError(
+                f"probabilities do not sum to 1 under {name} at node "
+                f"{node} (level {int(self.level_of[node])}, sum {sums[node]:.12g})")
 
     # -- structure accessors ---------------------------------------------------
 
     def level_nodes(self, k: int) -> np.ndarray:
-        return np.arange(self.level_start[k], self.level_start[k + 1])
+        sl = self._slices[k]
+        return np.arange(sl.start, sl.stop)
 
     def level_slice(self, k: int) -> slice:
-        return slice(int(self.level_start[k]), int(self.level_start[k + 1]))
+        return self._slices[k]
 
     def level_size(self, k: int) -> int:
-        return int(self.level_start[k + 1] - self.level_start[k])
-
-    @property
-    def leaves(self) -> np.ndarray:
-        return self.level_nodes(self.n_periods)
+        sl = self._slices[k]
+        return sl.stop - sl.start
 
     def children(self, v: int) -> np.ndarray:
         return np.arange(self.first_child[v], self.first_child[v] + self.n_children[v])
@@ -149,8 +159,7 @@ class FiniteTree:
 
     def sum_over_children(self, k: int, values_next: np.ndarray) -> np.ndarray:
         """Sum ``values_next`` (indexed over level k+1) over each level-k node's children."""
-        offsets = (self.first_child[self.level_slice(k)] - self.level_start[k + 1]).astype(np.int64)
-        return np.add.reduceat(values_next, offsets)
+        return np.add.reduceat(values_next, self._child_offsets[k])
 
     def density_zf(self) -> np.ndarray:
         """Node values of the P->Q density martingale Z^F (= Q-path-prob / P-path-prob)."""
@@ -261,126 +270,181 @@ def build_tree(spec: dict) -> FiniteTree:
     per-level per-node lists), ``p`` ("uniform" or nested per-node lists) and
     either ``q`` (same layout) or ``zf_leaves`` (terminal values of the density
     Z^F, from which Q is derived by reweighting P node-wise).  Omitting both
-    sets Q = P.
+    sets Q = P.  The spec is parsed into the arrays of
+    :func:`tree_from_counts`; errors come in the order of a walk over it: the
+    branching first, then the rows of p and then of q, level by level and
+    node by node.
     """
     grid = TimeGrid(np.asarray(spec["times"], dtype=float))
-    n = grid.steps
-    counts = _normalize_branching(spec.get("branching", 2), n)
-    level_sizes = [1]
-    for k in range(n):
-        if len(counts[k]) != level_sizes[-1]:
-            raise TreeError(f"branching list at level {k} has {len(counts[k])} entries, "
-                            f"level has {level_sizes[-1]} nodes")
-        level_sizes.append(int(sum(counts[k])))
-    level_start = np.concatenate([[0], np.cumsum(level_sizes)]).astype(np.int64)
+    counts = _branching_counts(spec.get("branching", 2), grid.steps)
+    given = {"p": spec.get("p", "uniform")}
+    if spec.get("q") is not None:
+        given["q"] = spec["q"]
+    rows = {}
+    for label, g in given.items():
+        rows[label], err = _flat_rows(g, counts, label)
+        if err is not None:
+            # the rows before a layout error are checked first
+            widths, level_start = _layout(counts)
+            ends = np.cumsum(widths)
+            for lb, r in rows.items():
+                n = widths.size if isinstance(r, str) else np.searchsorted(ends, r.size, "right")
+                _edges(r, widths[:n], level_start, lb)
+            raise err
+    return tree_from_counts(grid, counts, rows["p"], rows.get("q"), spec.get("zf_leaves"))
+
+
+def tree_from_counts(grid: TimeGrid, counts: list[np.ndarray], p, q=None,
+                     zf_leaves=None) -> FiniteTree:
+    """The one array-level tree constructor: :func:`build_tree` parses a
+    scenario spec into its arguments and ``instances.random_tree`` draws them.
+
+    ``counts[k]`` is the int64 array of the children of each level-k node,
+    k < N, with ``counts[k + 1].size == counts[k].sum()``.  ``p`` and ``q``
+    hold one row of edge weights per inner node, laid end to end in node
+    order (entry v - 1 weighs the edge into node v), or ``"uniform"``; each
+    row is divided by its sum.  ``q=None`` sets Q = P, which ``zf_leaves``
+    then reweights (:func:`reweight_by_density`).
+    """
+    widths, level_start = _layout(counts)
+    inner = widths.size
     n_nodes = int(level_start[-1])
-
-    parent = np.full(n_nodes, -1, dtype=np.int64)
+    parent = np.empty(n_nodes, dtype=np.int64)
+    parent[0] = -1
+    parent[1:] = np.repeat(np.arange(inner), widths)
     first_child = np.full(n_nodes, -1, dtype=np.int64)
+    first_child[:inner] = np.cumsum(widths) - widths + 1
     n_children = np.zeros(n_nodes, dtype=np.int64)
-    for k in range(n):
-        nodes = np.arange(level_start[k], level_start[k + 1])
-        cnt = np.asarray(counts[k], dtype=np.int64)
-        if np.any(cnt < 1):
-            raise TreeError(f"dangling node at level {k} (zero branching)")
-        first_child[nodes] = level_start[k + 1] + np.concatenate([[0], np.cumsum(cnt)[:-1]])
-        n_children[nodes] = cnt
-        parent[level_start[k + 1]:level_start[k + 2]] = np.repeat(nodes, cnt)
-
-    p_edge = _edge_probs_from_spec(spec.get("p", "uniform"), counts, level_start, "p")
-    if "q" in spec and spec["q"] is not None:
-        q_edge = _edge_probs_from_spec(spec["q"], counts, level_start, "q")
-    else:
-        q_edge = p_edge.copy()
-
+    n_children[:inner] = widths
+    p_edge = _edges(p, widths, level_start, "p")
+    q_edge = p_edge if q is None else _edges(q, widths, level_start, "q")
     tree = FiniteTree(grid, parent, first_child, n_children, p_edge, q_edge, level_start)
-
-    zf = spec.get("zf_leaves")
-    if zf is not None:
-        if "q" in spec and spec["q"] is not None:
-            raise TreeError("give either q or zf_leaves, not both")
-        tree = reweight_by_density(tree, np.asarray(zf, dtype=float))
-    return tree
+    if zf_leaves is None:
+        return tree
+    if q is not None:
+        raise TreeError("give either q or zf_leaves, not both")
+    return reweight_by_density(tree, np.asarray(zf_leaves, dtype=float))
 
 
 def reweight_by_density(tree: FiniteTree, zf_leaves: np.ndarray) -> FiniteTree:
-    """Derive Q from P by the terminal density Z^F (normalised to E_P[Z^F]=1)."""
+    """Derive Q from P by the terminal density Z^F (normalised to E_P[Z^F]=1).
+
+    The tree returned shares every P-side array and cache of ``tree``; only
+    its Q edges are new, and only they are checked.
+    """
     if zf_leaves.shape != (tree.leaves.size,):
         raise TreeError("zf_leaves must have one value per terminal node")
-    if not np.all(np.isfinite(zf_leaves)):
-        i = int(np.flatnonzero(~np.isfinite(zf_leaves))[0])
+    finite = np.isfinite(zf_leaves)
+    if not finite.all():
+        i = int(finite.argmin())
         raise TreeError(f"zf_leaves[{i}] (node {int(tree.leaves[i])}) is not finite")
-    if np.any(zf_leaves <= 0.0):
+    if (zf_leaves <= 0.0).any():
         raise TreeError("density Z^F must be strictly positive")
     z = backward(tree, zf_leaves, measure="P")
     z /= z[0]  # Z_0 = 1
     q_edge = np.ones(tree.n_nodes)
     sl = slice(1, tree.n_nodes)
     q_edge[sl] = tree.p_edge[sl] * z[sl] / z[tree.parent[sl]]
-    return FiniteTree(tree.grid, tree.parent, tree.first_child, tree.n_children,
-                      tree.p_edge, q_edge, tree.level_start)
-
-
-def _normalize_branching(branching, n_levels: int):
-    if isinstance(branching, (int, np.integer)):
-        counts, size = [], 1
-        for _ in range(n_levels):
-            counts.append([int(branching)] * size)
-            size *= int(branching)
-        return counts
-    out, size = [], 1
-    if len(branching) != n_levels:
-        raise TreeError(f"branching must describe {n_levels} levels")
-    for k, b in enumerate(branching):
-        if isinstance(b, (int, np.integer)):
-            out.append([int(b)] * size)
-        else:
-            out.append([int(x) for x in b])
-        size = sum(out[-1])
+    out = copy.copy(tree)
+    out.q_edge = q_edge
+    out.node_q = forward(tree, q_edge, np.multiply, 1.0)
+    out._check_measure("Q", q_edge)
     return out
 
 
-def _edge_probs_from_spec(p, counts, level_start, label: str) -> np.ndarray:
-    n_nodes = int(level_start[-1])
-    edge = np.ones(n_nodes)
-    uniform = isinstance(p, str) and p == "uniform"
+def _branching_counts(branching, n_levels: int) -> list[np.ndarray]:
+    """The children of each level-k node, k < N, as int64 arrays, from an
+    int, per-level ints or per-level per-node lists.  A level with the wrong
+    number of entries raises first, then a node with no child."""
+    if isinstance(branching, (int, np.integer)):
+        branching = [int(branching)] * n_levels
+    elif len(branching) != n_levels:
+        raise TreeError(f"branching must describe {n_levels} levels")
+    counts, size = [], 1
+    for b in branching:
+        counts.append(np.full(max(size, 0), int(b), dtype=np.int64)
+                      if isinstance(b, (int, np.integer))
+                      else np.array([int(x) for x in b], dtype=np.int64))
+        size = int(counts[-1].sum())
+    size = 1
     for k, cnt in enumerate(counts):
-        pos = int(level_start[k + 1])
-        if uniform:
-            edge[pos:int(level_start[k + 2])] = _uniform_edges(cnt, k, label)
-            continue
-        rows = p[k]
-        if len(rows) != len(cnt):
-            raise TreeError(f"{label}[level {k}] has {len(rows)} rows, expected {len(cnt)}")
-        for i, (row, c) in enumerate(zip(rows, cnt)):
-            row = np.asarray(row, dtype=float)
-            if row.size != c:
-                raise TreeError(f"{label}[level {k}][node {i}] has {row.size} entries, "
-                                f"branching is {c}")
-            s = row.sum()
-            if abs(s - 1.0) > 1e-9:
-                raise TreeError(f"{label}[level {k}][node {i}]: probabilities do not "
-                                f"sum to 1 (got {s:.12g})")
-            if np.any(row <= 0.0):
-                raise TreeError(f"{label}[level {k}][node {i}]: zero/negative probability "
-                                "(breaks measure equivalence)")
-            edge[pos:pos + c] = row / s
-            pos += c
+        if cnt.size != size:
+            raise TreeError(f"branching list at level {k} has {cnt.size} entries, "
+                            f"level has {size} nodes")
+        size = int(cnt.sum())
+    low = np.concatenate(counts) < 1
+    if low.any():
+        k = int(np.searchsorted(np.cumsum([c.size for c in counts]), low.argmax(), "right"))
+        raise TreeError(f"dangling node at level {k} (zero branching)")
+    return counts
+
+
+def _layout(counts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(children of each inner node in node order, level_start) of a tree."""
+    sizes = [c.size for c in counts] + [int(counts[-1].sum())]
+    return np.concatenate(counts), np.cumsum([0] + sizes, dtype=np.int64)
+
+
+def _flat_rows(given, counts: list[np.ndarray], label: str):
+    """The rows of a per-level, per-node probability spec laid end to end,
+    and the first layout error (a level with the wrong number of rows, or a
+    row with the wrong number of entries) or None; with an error, the rows
+    before it.  ``"uniform"`` is passed through."""
+    if isinstance(given, str) and given == "uniform":
+        return given, None
+    parts = [np.empty(0)]
+    for k, cnt in enumerate(counts):
+        rows = given[k]
+        if len(rows) != cnt.size:
+            return np.concatenate(parts), TreeError(
+                f"{label}[level {k}] has {len(rows)} rows, expected {cnt.size}")
+        rows = [r if isinstance(r, (list, tuple, np.ndarray)) else [r] for r in rows]
+        sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+        bad = np.flatnonzero(sizes != cnt)
+        ok = int(bad[0]) if bad.size else len(rows)
+        parts.append(np.fromiter(itertools.chain.from_iterable(rows[:ok]), float,
+                                 int(sizes[:ok].sum())))
+        if bad.size:
+            return np.concatenate(parts), TreeError(
+                f"{label}[level {k}][node {ok}] has {sizes[ok]} entries, branching is {cnt[ok]}")
+    return np.concatenate(parts), None
+
+
+def row_sums(rows: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``rows``, rows of the given widths laid end to
+    end: one ``(count, c).sum(axis=1)`` per distinct width c, which is
+    bitwise ``row.sum()`` of each row (``np.add.reduceat`` is not)."""
+    starts = np.cumsum(widths) - widths
+    sums = np.empty(widths.size)
+    for c in np.flatnonzero(np.bincount(widths)).tolist():
+        at = np.flatnonzero(widths == c)
+        sums[at] = rows[starts[at, None] + np.arange(c)].sum(axis=1)
+    return sums
+
+
+def _edges(rows, widths: np.ndarray, level_start: np.ndarray, label: str) -> np.ndarray:
+    """Edge probabilities, one per node (1.0 at the root), from rows of
+    weights laid end to end or ``"uniform"``: each row divided by its sum.
+    The first row whose sum is off 1 by more than 1e-9, or that holds a
+    weight <= 0, raises; a row's sum is checked before its signs."""
+    if isinstance(rows, str):
+        rows = np.repeat(1.0 / widths, widths)
+    sums = row_sums(rows, widths)
+    off = np.abs(sums - 1.0) > 1e-9
+    low = rows <= 0.0
+    if off.any() or low.any():
+        first_low = np.searchsorted(np.cumsum(widths), low.argmax(), "right")
+        r = int(min(off.argmax() if off.any() else widths.size,
+                    first_low if low.any() else widths.size))
+        k = int(np.searchsorted(level_start, r, "right")) - 1
+        at = f"{label}[level {k}][node {r - int(level_start[k])}]"
+        if off[r]:
+            raise TreeError(f"{at}: probabilities do not sum to 1 (got {sums[r]:.12g})")
+        raise TreeError(f"{at}: zero/negative probability (breaks measure equivalence)")
+    edge = np.empty(rows.size + 1)
+    edge[0] = 1.0
+    np.divide(rows, np.repeat(sums, widths), out=edge[1:])
     return edge
-
-
-def _uniform_edges(cnt, k: int, label: str) -> np.ndarray:
-    """Edge probabilities of one level under ``"uniform"``: each row is
-    ``row / row.sum()`` with ``row = [1/c] * c``, formed once per distinct
-    branching value c."""
-    cnt = np.asarray(cnt, dtype=np.int64)
-    values, which = np.unique(cnt, return_inverse=True)
-    sums = np.array([np.full(c, 1.0 / c).sum() for c in values.tolist()])
-    bad = np.flatnonzero(np.abs(sums[which] - 1.0) > 1e-9)
-    if bad.size:
-        raise TreeError(f"{label}[level {k}][node {int(bad[0])}]: probabilities do not "
-                        f"sum to 1 (got {sums[which[bad[0]]]:.12g})")
-    return np.repeat((1.0 / values / sums)[which], cnt)
 
 
 # --------------------------------------------------------------------------

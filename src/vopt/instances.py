@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .european import PayoffSpec, ReducedHazard
-from .filtration import AdaptedProcess, FiniteTree, build_tree
+from .filtration import AdaptedProcess, FiniteTree, TimeGrid, row_sums, tree_from_counts
 from .measure_change import PhiControl, phi_pr_from_marks
 from .random_time import (ExtendedSpace, HazardSpec, ProjectionBundle, cox_extend,
                           extend_with_kernel)
@@ -19,22 +19,18 @@ def random_tree(rng: np.random.Generator, max_periods: int = 4, max_branching: i
                 with_density: bool = True) -> FiniteTree:
     n = int(rng.integers(1, max_periods + 1))
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 0.6, n))])
-    branching, size = [], 1
+    counts, size = [], 1
     for _ in range(n):
-        row = [int(rng.integers(2, max_branching + 1)) for _ in range(size)]
-        branching.append(row)
-        size = sum(row)
-    p = []
-    for row in branching:
-        lvl = []
-        for c in row:
-            raw = rng.uniform(0.2, 1.0, c)
-            lvl.append(list(raw / raw.sum()))
-        p.append(lvl)
-    spec = {"times": times, "branching": branching, "p": p}
-    if with_density:
-        spec["zf_leaves"] = rng.uniform(0.4, 1.8, size)
-    return build_tree(spec)
+        # one scalar draw per node: an array draw takes other values off the stream
+        counts.append(np.array([int(rng.integers(2, max_branching + 1)) for _ in range(size)]))
+        size = int(counts[-1].sum())
+    # every row in one draw, the stream of one draw per row; each row is
+    # normalised here and again by tree_from_counts
+    widths = np.concatenate(counts)
+    raw = rng.uniform(0.2, 1.0, int(widths.sum()))
+    p = raw / np.repeat(row_sums(raw, widths), widths)
+    zf = rng.uniform(0.4, 1.8, size) if with_density else None
+    return tree_from_counts(TimeGrid(times), counts, p, zf_leaves=zf)
 
 
 def random_payoff(rng: np.random.Generator, tree: FiniteTree, high: float = 2.0,

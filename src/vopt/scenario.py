@@ -5,8 +5,8 @@ density), ``hazard`` (per-node one-step hazards ``h`` for the extension and
 reduced increments ``delta``), ``payoff`` (P and R node tables), ``phi``
 (control sampling), ``suites``, ``tolerances``, ``penalty_ladder``, an
 optional ``random_family`` block for the batch identity checks, and
-``output``; any other top-level key is an error.  Fixtures are plain JSON so
-regressions diff cleanly.
+``output``; any other key, at the top level or inside a section, is an
+error.  Fixtures are plain JSON so regressions diff cleanly.
 """
 
 from __future__ import annotations
@@ -38,6 +38,16 @@ DEFAULT_TOLERANCES = {
 
 SCENARIO_KEYS = ("name", "tree", "hazard", "payoff", "phi", "suites", "tolerances",
                  "penalty_ladder", "random_family", "output")
+
+# the keys of each object section (``tolerances`` names its own)
+SECTION_KEYS = {
+    "tree": ("times", "branching", "p", "q", "zf_leaves"),
+    "hazard": ("timing", "terminal_absorption", "h", "delta"),
+    "payoff": ("P", "R"),
+    "phi": ("seed", "count"),
+    "random_family": ("seed", "instances", "max_periods", "max_branching"),
+    "output": ("dir",),
+}
 
 ALL_SUITES = [
     "projections-identities",
@@ -148,6 +158,8 @@ def _node_table(tree: FiniteTree, spec, where: str) -> np.ndarray:
         return np.full(tree.n_nodes, _real(spec["constant"], f"{where}.constant"))
     if "by_level" in spec:
         rows = spec["by_level"]
+        if not isinstance(rows, list):
+            raise ScenarioError(f"{where}.by_level: expected a list of levels")
         if len(rows) != tree.n_periods + 1:
             raise ScenarioError(f"{where}.by_level: {len(rows)} levels given, tree has "
                                 f"{tree.n_periods + 1}")
@@ -204,10 +216,15 @@ def _whole(x, where: str, low: int | None = None) -> int:
 
 
 def _object(raw: dict, key: str) -> dict:
-    """The section ``key``, which must be a JSON object; absent, it is empty."""
+    """The section ``key``, which must be a JSON object of known keys;
+    absent, it is empty."""
     sec = raw.get(key, {})
     if not isinstance(sec, dict):
         raise ScenarioError(f"{key}: expected an object")
+    known = SECTION_KEYS.get(key, sec)
+    for k in sec:
+        if k not in known:
+            raise ScenarioError(f"{key}.{k}: unknown key (known: {', '.join(known)})")
     return sec
 
 

@@ -83,6 +83,13 @@ def _set(path, value):
     return edit
 
 
+def _rename(section, old, new):
+    """Edit of the packaged scenario: rename the key ``old`` of ``section``."""
+    def edit(raw):
+        raw.setdefault(section, {})[new] = raw[section].pop(old, 1)
+    return edit
+
+
 NAN, INF = float("nan"), float("inf")
 BAD_INPUTS = {
     "negative payoff": _set(["payoff", "P", "by_level", 1, 0], -0.5),
@@ -128,6 +135,14 @@ BAD_INPUTS = {
     "boolean by_level entry": _set(["payoff", "P", "by_level", 2, 1], True),
     "string by_level entry": _set(["hazard", "h", "by_level", 1, 0], "0.2"),
     "string by_level row": _set(["hazard", "h", "by_level", 3], "0.0"),
+    "by_level not a list": _set(["payoff", "P"], {"by_level": 5}),
+    # a misspelt key inside a section would fall back to its default
+    "unknown tree key": _rename("tree", "zf_leaves", "zf_leafs"),
+    "unknown hazard key": _rename("hazard", "delta", "dleta"),
+    "unknown payoff key": _rename("payoff", "R", "r"),
+    "unknown phi key": _rename("phi", "count", "cout"),
+    "unknown random_family key": _rename("random_family", "instances", "instance"),
+    "unknown output key": _rename("output", "dir", "directory"),
 }
 # the scenario key that the error of each of these cases must name first
 NAMED_KEY = {
@@ -147,6 +162,10 @@ NAMED_KEY = {
     "boolean by_level entry": "payoff.P.by_level[2][1]",
     "string by_level entry": "hazard.h.by_level[1][0]",
     "string by_level row": "hazard.h.by_level[3]",
+    "by_level not a list": "payoff.P.by_level", "unknown tree key": "tree.zf_leafs",
+    "unknown hazard key": "hazard.dleta", "unknown payoff key": "payoff.r",
+    "unknown phi key": "phi.cout", "unknown random_family key": "random_family.instance",
+    "unknown output key": "output.directory",
 }
 
 
@@ -162,6 +181,19 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
     if case in NAMED_KEY:
         assert err.startswith(f"scenario error: {NAMED_KEY[case]}: "), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("unknown hazard key",
+     "hazard.dleta: unknown key (known: timing, terminal_absorption, h, delta)"),
+    ("by_level not a list", "payoff.P.by_level: expected a list of levels")])
+def test_section_errors_name_the_key(case, message, tmp_path, capsys):
+    raw = json.loads(PACKAGED.read_text())
+    BAD_INPUTS[case](raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
 
 
 def test_empty_suite_list_exits_2(tmp_path, capsys):

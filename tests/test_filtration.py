@@ -438,6 +438,159 @@ def test_tree_validation_raises_the_per_level_error(seed):
             assert str(exc.value) == want
 
 
+# -- the array constructor behind build_tree and random_tree ----------------------
+
+def nested_random_spec(rng, max_periods, max_branching, with_density):
+    """The nested-list spec of a random tree, drawn one row at a time: the
+    draws of ``random_tree`` in the layout of a scenario's ``tree`` section."""
+    n = int(rng.integers(1, max_periods + 1))
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 0.6, n))])
+    branching, size = [], 1
+    for _ in range(n):
+        row = [int(rng.integers(2, max_branching + 1)) for _ in range(size)]
+        branching.append(row)
+        size = sum(row)
+    p = []
+    for row in branching:
+        lvl = []
+        for c in row:
+            raw = rng.uniform(0.2, 1.0, c)
+            lvl.append(list(raw / raw.sum()))
+        p.append(lvl)
+    spec = {"times": times, "branching": branching, "p": p}
+    if with_density:
+        spec["zf_leaves"] = rng.uniform(0.4, 1.8, size)
+    return spec
+
+
+TREE_ARRAYS = ("parent", "first_child", "n_children", "p_edge", "q_edge", "level_start",
+               "level_of", "leaves", "node_p", "node_q")
+
+
+def assert_same_tree(got, want):
+    assert got.grid.times.tobytes() == want.grid.times.tobytes()
+    for name in TREE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("max_branching", [2, 3, 5, 9])
+def test_random_tree_equals_the_build_of_its_nested_spec(max_branching):
+    # row.sum() adds rows of 8 or more entries in blocks, not left to right
+    for seed in range(30):
+        for with_density in (True, False):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_tree(rng, 3, max_branching, with_density)
+            assert_same_tree(got, build_tree(nested_random_spec(ref, 3, max_branching,
+                                                                with_density)))
+            assert rng.random() == ref.random()      # the same draws were taken
+
+
+def test_reweighted_tree_equals_a_fresh_tree_on_its_q_edges():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        base = random_tree(rng, with_density=False)
+        tree = filtration.reweight_by_density(base, rng.uniform(0.4, 1.8, base.leaves.size))
+        fresh = filtration.FiniteTree(tree.grid, tree.parent, tree.first_child,
+                                      tree.n_children, tree.p_edge, tree.q_edge,
+                                      tree.level_start)
+        for name in ("node_p", "node_q", "q_edge", "level_of"):
+            assert getattr(tree, name).tobytes() == getattr(fresh, name).tobytes(), name
+        for name in ("parent", "first_child", "p_edge", "node_p", "level_of", "leaves"):
+            assert getattr(tree, name) is getattr(base, name), name
+        assert base.q_edge is base.p_edge
+
+
+def hand_built(n_children, edge=(1.0, 0.5, 0.5, 1.0, 1.0)):
+    """A two-period tree 0 -> (1, 2), 1 -> 3, 2 -> 4, with the given
+    children counts and edges."""
+    return filtration.FiniteTree(TimeGrid(np.array([0.0, 1.0, 2.0])),
+                                 np.array([-1, 0, 0, 1, 2]), np.array([1, 3, 4, -1, -1]),
+                                 np.array(n_children), np.array(edge), np.array(edge),
+                                 np.array([0, 1, 3, 5]))
+
+
+def test_hand_built_structure_errors():
+    assert hand_built([2, 1, 1, 0, 0]).n_nodes == 5
+    with pytest.raises(TreeError) as exc:
+        hand_built([2, 1, 1, 1, 0])
+    assert str(exc.value) == "terminal node with children"
+    with pytest.raises(TreeError) as exc:
+        hand_built([2, 1, 0, 0, 0])
+    assert str(exc.value) == "dangling node at level 1 (no children)"
+    # the edges are checked before the structure
+    with pytest.raises(TreeError) as exc:
+        hand_built([2, 1, 0, 0, 0], (1.0, 0.5, 0.5, 1.0, 0.0))
+    assert str(exc.value) == ("P-probability of edge into node 4 is not strictly positive "
+                              "(breaks measure equivalence)")
+
+
+def ref_row_error(spec):
+    """The first row error of a walk over the spec's p rows, then its q
+    rows, level by level and node by node."""
+    counts = []
+    for k in range(len(spec["times"]) - 1):
+        lv = spec["branching"][k]
+        counts.append([lv] * (1 if k == 0 else sum(counts[-1])) if isinstance(lv, int) else lv)
+    for label in ("p", "q"):
+        given = spec.get(label)
+        if given is None or given == "uniform":
+            continue
+        for k, cnt in enumerate(counts):
+            rows = given[k]
+            if len(rows) != len(cnt):
+                return f"{label}[level {k}] has {len(rows)} rows, expected {len(cnt)}"
+            for i, (row, c) in enumerate(zip(rows, cnt)):
+                row = np.asarray(row, dtype=float)
+                if row.size != c:
+                    return f"{label}[level {k}][node {i}] has {row.size} entries, branching is {c}"
+                if abs(row.sum() - 1.0) > 1e-9:
+                    return (f"{label}[level {k}][node {i}]: probabilities do not sum to 1 "
+                            f"(got {row.sum():.12g})")
+                if np.any(row <= 0.0):
+                    return (f"{label}[level {k}][node {i}]: zero/negative probability "
+                            "(breaks measure equivalence)")
+    return None
+
+
+def corrupt(rng, rows):
+    """One random layout or value fault in a copy of per-level rows."""
+    rows = [[list(r) for r in lvl] for lvl in rows]
+    k = int(rng.integers(len(rows)))
+    i = int(rng.integers(len(rows[k])))
+    fault = int(rng.integers(5))
+    if fault == 0:
+        rows[k].append(list(rows[k][i]))            # one row too many
+    elif fault == 1:
+        rows[k][i] = rows[k][i] + [0.1]             # one entry too many
+    elif fault == 2:
+        rows[k][i][0] *= 1.5                        # sum off 1
+    elif fault == 3 and len(rows[k][i]) > 1:        # a zero weight, the sum kept
+        rows[k][i][0] += rows[k][i][-1]
+        rows[k][i][-1] = 0.0
+    else:
+        rows[k][i] = rows[k][i][:-1] or [2.0]       # one entry too few
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_build_tree_raises_the_first_row_error_of_the_spec(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        spec = random_specs(seed)[3]
+        for label in ("p", "q"):
+            for _ in range(int(rng.integers(0, 3))):
+                spec[label] = corrupt(rng, spec[label])
+        want = ref_row_error(spec)
+        if want is None:
+            build_tree(spec)
+            continue
+        with pytest.raises(TreeError) as exc:
+            build_tree(spec)
+        assert str(exc.value) == want
+
+
 # -- count_stopping_times against a recursive count -------------------------------
 
 def ref_count(tree, allowed):

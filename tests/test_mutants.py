@@ -103,6 +103,17 @@ def test_dAp_read_at_the_node_fails_a_suite(monkeypatch):
     assert failing_suites() == ["projections-identities", "martingale-transforms"]
 
 
+def test_pG_as_an_unweighted_sibling_mean_fails_a_suite(monkeypatch):
+    # pG = E[G_k | F_{k-1}] weighs each sibling by its mass.  On the scenario's
+    # own tree (uniform P) siblings have equal masses, so an unweighted mean
+    # agrees there; identity vi (G = E(-Gamma)E(N)) on the random family does not
+    plant(monkeypatch, random_time,
+          ("pG[1:] = S[up, ku + 1] / mass[up]",
+           "pG[1:] = (np.add.reduceat(G[1:], tree.first_child[:tree.level_start[n]] - 1)"
+           " / tree.n_children[:tree.level_start[n]])[up]"))
+    assert failing_suites() == ["projections-identities"]
+
+
 def test_closed_form_with_decision_hazard_read_at_the_node_fails_a_suite(monkeypatch):
     # bundle.csv's route: the step into a node must read the parent's hazard
     plant(monkeypatch, random_time,
