@@ -8,9 +8,9 @@ all cross-verified against enumeration oracles.
 
 from .errors import (AdmissibilityError, EnumerationCapError, HazardError,
                      IdentityError, ScenarioError, TreeError)
-from .filtration import (AdaptedProcess, FiniteTree, StoppingTime, TimeGrid,
-                         build_tree, condexp, doob_decomposition, evaluate_stopping,
-                         snell_envelope)
+from .filtration import (AdaptedProcess, FiniteTree, StoppingProblem, StoppingTime,
+                         TimeGrid, build_tree, condexp, doob_decomposition,
+                         evaluate_stopping, snell_envelope)
 from .random_time import (ExtendedSpace, HazardSpec, ProjectionBundle, cox_extend,
                           extend_with_kernel, full_price_assembly,
                           jeulin_yor_transform, key_lemma, pre_default_transform,

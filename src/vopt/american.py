@@ -1,9 +1,9 @@
 """Reduced pricing of vulnerable American options.
 
-Reflected backward solves with an implicit one-step generator and a lower
-obstacle, the penalized upper/lower schemes whose limits are an optimal
-stopping problem with a modified payoff and a constrained zero-sum stopping
-game, and exhaustive enumeration oracles for both.
+Reflected backward solves with the promised payoff as lower obstacle, the
+penalized upper/lower schemes whose limits are the Snell envelope of zeta^u
+and a constrained zero-sum stopping game, and exhaustive enumeration oracles
+for both.  zeta^u, the game and its oracle read :func:`game_problems`.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EnumerationCapError, HazardError, IdentityError, TreeError
-from .filtration import (DEFAULT_ENUM_CAP, AdaptedProcess, StoppingTime,
+from .errors import EnumerationCapError, HazardError, TreeError
+from .filtration import (DEFAULT_ENUM_CAP, AdaptedProcess, StoppingProblem, StoppingTime,
                          _enumerate_stop_nodes, backward, forward, node_values, shared_tree,
                          snell_envelope)
-from .european import EuroSolveReport, PayoffSpec, ReducedHazard, _implicit_step
+from .european import (EuroSolveReport, PayoffSpec, ReducedHazard, _implicit_step,
+                       european_upper_problem)
 
 
 @dataclass
@@ -37,8 +38,6 @@ class GameValueReport:
     value: AdaptedProcess
     sigma_star: StoppingTime            # maximizer, unconstrained
     tau_star: StoppingTime              # minimizer, support-constrained
-    infsup: float
-    supinf: float
 
 
 # --------------------------------------------------------------------------
@@ -46,23 +45,20 @@ class GameValueReport:
 # --------------------------------------------------------------------------
 
 def reflected_gbsde_solve(generator: str, coeff, payoff: PayoffSpec,
-                          hz: ReducedHazard, obstacle: AdaptedProcess | None = None
-                          ) -> ReflectedSolveReport:
+                          hz: ReducedHazard) -> ReflectedSolveReport:
     """Backward reflected solve: implicit generator step, then reflection.
 
-    ``generator`` is one of 'none', 'linear', 'penalty_up', 'penalty_down'
-    with scalar-or-process coefficient ``coeff`` (lambda or the penalty
-    level).  The obstacle defaults to the promised payoff P; terminal value
-    is P_T.  The reflection increment dK = value - unreflected-step is
-    nonnegative by construction and charges only nodes where the value sits
-    on the obstacle, which is re-verified and reported as residuals.
+    ``generator`` is one of 'linear', 'penalty_up', 'penalty_down' with
+    scalar-or-process coefficient ``coeff`` (lambda or the penalty level).
+    The obstacle is the promised payoff P; terminal value is P_T.  The
+    reflection increment dK = value - unreflected-step is nonnegative by
+    construction and charges only nodes where the value sits on the
+    obstacle, which is re-verified and reported as residuals.
     """
-    tree = shared_tree(payoff, hz, obstacle)
-    if obstacle is None:
-        obstacle = payoff.P
-    obs = obstacle.values
+    tree = shared_tree(payoff, hz)
+    obs = payoff.P.values
     coeff_v = node_values(tree, coeff, "coefficient")
-    if generator in ("linear",) and np.any(coeff_v <= 0.0):
+    if generator == "linear" and np.any(coeff_v <= 0.0):
         raise ValueError("lambda must be strictly positive")
 
     dk = np.zeros(tree.n_nodes)
@@ -111,14 +107,14 @@ def _survival_from_delta(hz: ReducedHazard):
     return G, dAo
 
 
-def rbsde_vs_weighted_optstop(payoff: PayoffSpec, hz: ReducedHazard,
-                              tol: float = 1e-10) -> RbsdeCompareReport:
+def rbsde_vs_weighted_optstop(payoff: PayoffSpec, hz: ReducedHazard) -> RbsdeCompareReport:
     """Two routes to the reduced American value, compared node-wise.
 
     (a) survival-weighted optimal stopping: Snell envelope of
     xi = P G + (R . dA^o) deflated by G; (b) the reflected solve with the
     linear unit generator.  Exact agreement is a theorem in this discrete
-    model; disagreement beyond ``tol`` raises.
+    model; ``max_diff`` is the largest node-wise gap, as measured, for the
+    caller to hold against its tolerance.
     """
     tree = shared_tree(payoff, hz)
     G, dAo = _survival_from_delta(hz)
@@ -127,58 +123,63 @@ def rbsde_vs_weighted_optstop(payoff: PayoffSpec, hz: ReducedHazard,
     # recovery is collected at the decision node of each step
     racc = forward(tree, payoff.R.values[tree.parent] * dAo, np.add, 0.0)
     xi = AdaptedProcess(tree, payoff.P.values * G + racc)
-    snell, _ = snell_envelope(xi)
+    snell, _ = snell_envelope(StoppingProblem(xi))
     weighted = (snell.values - racc) / G
 
     rb = reflected_gbsde_solve("linear", 1.0, payoff, hz)
     diff = float(np.max(np.abs(weighted - rb.value.values)))
-    if diff > tol:
-        raise IdentityError(f"weighted-stopping and reflected routes disagree by {diff:.3g}")
     return RbsdeCompareReport(AdaptedProcess(tree, weighted), rb.value, diff,
                               rb.max_skorokhod_residual())
 
 
 # --------------------------------------------------------------------------
-# Limit problems: modified-payoff Snell envelope and the constrained game
+# Limit problems: the game's two stopping problems, zeta^u and the game
 # --------------------------------------------------------------------------
 
-def modified_payoff(payoff: PayoffSpec, hz: ReducedHazard) -> AdaptedProcess:
-    """zeta^u: max(P, R on the support) before T, P at T."""
-    tree = shared_tree(payoff, hz)
-    mask = hz.support_mask()
-    zeta = np.where(mask, np.maximum(payoff.P.values, payoff.R.values), payoff.P.values)
-    term = tree.level_slice(tree.n_periods)
-    zeta[term] = payoff.P.values[term]
-    return AdaptedProcess(tree, zeta)
+def game_problems(payoff: PayoffSpec, hz: ReducedHazard
+                  ) -> tuple[StoppingProblem, StoppingProblem]:
+    """(maximizer, minimizer) of the constrained Dynkin game.  The maximizer
+    is paid P and may stop anywhere.  The minimizer pays P v R, P at the
+    horizon, and may stop where :func:`european_upper_problem` may: only on
+    the hazard's right support."""
+    european = european_upper_problem(payoff, hz)
+    upper = np.maximum(payoff.P.values, european.reward.values)
+    return (StoppingProblem(payoff.P),
+            StoppingProblem(AdaptedProcess(payoff.tree, upper), european.allowed))
+
+
+def american_upper_problem(payoff: PayoffSpec, hz: ReducedHazard) -> StoppingProblem:
+    """The upper American price's problem: zeta^u, the minimizer's reward of
+    :func:`game_problems` where it may stop and P elsewhere, stopped anywhere."""
+    _, minimizer = game_problems(payoff, hz)
+    zeta = np.where(minimizer.allowed, minimizer.reward.values, payoff.P.values)
+    return StoppingProblem(AdaptedProcess(payoff.tree, zeta))
 
 
 def american_upper_price(payoff: PayoffSpec, hz: ReducedHazard) -> EuroSolveReport:
-    """Snell envelope (all stopping times) of the modified payoff zeta^u."""
-    value, tau = snell_envelope(modified_payoff(payoff, hz))
+    """Snell envelope of :func:`american_upper_problem`."""
+    value, tau = snell_envelope(american_upper_problem(payoff, hz))
     return EuroSolveReport(value, tau_star=tau)
 
 
 def constrained_dynkin_game(payoff: PayoffSpec, hz: ReducedHazard) -> GameValueReport:
-    """Zero-sum stopping game: maximizer stops anywhere for P, minimizer stops
-    on the hazard support for P-or-R (ties settle on the minimizer).
-
-    Requires P <= R on the support (the game's standing hypothesis); backward
-    induction with V_T = P_T, V = min(P v R, max(P, E)) on support nodes and
-    max(P, E) elsewhere.  Earliest optimal strategies for both players.
+    """Zero-sum stopping game of :func:`game_problems`, by backward induction:
+    V_T = P_T, V = min(P v R, max(P, E)) where the minimizer may stop and
+    max(P, E) elsewhere (ties settle on the minimizer).  Requires P <= R where
+    the minimizer may stop before the horizon (the game's standing
+    hypothesis).  Earliest optimal strategies for both players.
     """
-    tree = shared_tree(payoff, hz)
-    mask = hz.support_mask()
-    term = tree.level_slice(tree.n_periods)
-    pv, rv = payoff.P.values, payoff.R.values
-    early = mask.copy()
-    early[term] = False
-    if np.any(pv[early] > rv[early]):
-        v = int(np.flatnonzero(early & (pv > rv))[0])
-        raise TreeError(f"P <= R violated on the hazard support at node {v}")
+    maximizer, minimizer = game_problems(payoff, hz)
+    tree = payoff.tree
+    pv, upper = maximizer.reward.values, minimizer.reward.values
+    early = minimizer.allowed.copy()
+    early[tree.level_slice(tree.n_periods)] = False
+    bad = early & (pv > payoff.R.values)
+    if bad.any():
+        raise TreeError(f"P <= R violated on the hazard support at node {int(bad.argmax())}")
 
-    upper = np.maximum(pv, rv)
-    sig = np.zeros(tree.n_nodes, dtype=bool)
-    tau = np.zeros(tree.n_nodes, dtype=bool)
+    sig = maximizer.allowed.copy()        # the horizon stops; the sweep sets the rest
+    tau = minimizer.allowed.copy()
 
     def step(sl, e):
         stop_max = np.maximum(pv[sl], e)
@@ -188,69 +189,52 @@ def constrained_dynkin_game(payoff: PayoffSpec, hz: ReducedHazard) -> GameValueR
         return val
 
     v = backward(tree, pv, step)
-    return GameValueReport(AdaptedProcess(tree, v),
-                           StoppingTime(tree, sig | StoppingTime.horizon(tree).stop),
-                           StoppingTime(tree, tau | StoppingTime.horizon(tree).stop),
-                           float(v[0]), float(v[0]))
+    return GameValueReport(AdaptedProcess(tree, v), StoppingTime(tree, sig),
+                           StoppingTime(tree, tau))
 
 
-def game_payoff(payoff: PayoffSpec, sigma: StoppingTime, tau: StoppingTime) -> float:
-    """Exact E^Q[X(sigma, tau)]: P at sigma if tau comes later, else P v R at
-    tau (P at the horizon)."""
-    tree = shared_tree(payoff, sigma, tau)
-    pv, rv = payoff.P.values, payoff.R.values
-    upper = np.maximum(pv, rv)
-    term = tree.level_slice(tree.n_periods)
-    upper[term] = pv[term]
-    s_lvl = sigma.stop_levels()
-    t_lvl = tau.stop_levels()
-    s_node = sigma.stop_nodes_per_path()
-    t_node = tau.stop_nodes_per_path()
-    pay = np.where(t_lvl <= s_lvl, upper[t_node], pv[s_node])
+def game_payoff(payoff: PayoffSpec, hz: ReducedHazard, sigma: StoppingTime,
+                tau: StoppingTime) -> float:
+    """Exact E^Q[X(sigma, tau)] for the problems of :func:`game_problems`: the
+    minimizer's reward at tau if tau comes no later than sigma, else the
+    maximizer's at sigma."""
+    tree = shared_tree(payoff, hz, sigma, tau)
+    maximizer, minimizer = game_problems(payoff, hz)
+    pay = np.where(tau.stop_levels() <= sigma.stop_levels(),
+                   minimizer.reward.values[tau.stop_nodes_per_path()],
+                   maximizer.reward.values[sigma.stop_nodes_per_path()])
     return float(np.dot(tree.node_q[tree.leaves], pay))
 
 
 def brute_force_game(payoff: PayoffSpec, hz: ReducedHazard, cap: int = DEFAULT_ENUM_CAP,
-                     pair_cap: int = 50_000_000) -> GameValueReport:
-    """Exhaustive inf-sup and sup-inf over enumerated stopping-time pairs.
+                     pair_cap: int = 50_000_000) -> tuple[float, float]:
+    """(inf-sup, sup-inf), exhaustive over enumerated stopping-time pairs.
 
-    The maximizer ranges over all stopping times, the minimizer over
-    support-valued ones.  Both orders must agree with each other and with the
-    backward-induction value (checked by the caller).  The payoff of a pair
-    is the minimizer's P-or-R on paths where tau <= sigma, else the
-    maximizer's P at sigma; the scan keeps, per row and per column, the
-    running minimum and maximum over the pairs.
+    Each player ranges over the stopping times allowed by its problem of
+    :func:`game_problems`.  Both orders must agree with each other and with
+    the backward-induction value (checked by the caller).  The payoff of a
+    pair is the minimizer's reward on paths where tau <= sigma, else the
+    maximizer's; the scan keeps, per row and per column, the running
+    minimum and maximum over the pairs.
     """
-    tree = shared_tree(payoff, hz)
-    all_mask = np.ones(tree.n_nodes, dtype=bool)
-    sup_mask = hz.support_mask()
-    sig_nodes = _enumerate_stop_nodes(tree, all_mask, cap)
-    tau_nodes = _enumerate_stop_nodes(tree, sup_mask | StoppingTime.horizon(tree).stop, cap)
+    maximizer, minimizer = game_problems(payoff, hz)
+    tree = payoff.tree
+    sig_nodes = _enumerate_stop_nodes(tree, maximizer.allowed, cap)
+    tau_nodes = _enumerate_stop_nodes(tree, minimizer.allowed, cap)
     if sig_nodes.shape[0] * tau_nodes.shape[0] > pair_cap:
         raise EnumerationCapError(
             f"{sig_nodes.shape[0]} x {tau_nodes.shape[0]} stopping-time pairs "
             f"exceed the cap {pair_cap}")
 
-    lvl = tree.level_of
-    pv, rv = payoff.P.values, payoff.R.values
-    upper = np.maximum(pv, rv)
-    upper[tree.level_slice(tree.n_periods)] = pv[tree.level_slice(tree.n_periods)]
-    sig_lvl = lvl[sig_nodes].astype(np.int64)
-    tau_lvl = lvl[tau_nodes].astype(np.int64)
-    pay_sig = pv[sig_nodes]
-    pay_tau = upper[tau_nodes]
+    sig_lvl, tau_lvl = tree.level_of[sig_nodes], tree.level_of[tau_nodes]
+    pay_tau = minimizer.reward.values[tau_nodes]
     w = tree.node_q[tree.leaves]
 
     row_min = np.full(sig_lvl.shape[0], np.inf)
     col_max = np.empty(tau_lvl.shape[0])
-    base = pay_sig * w
+    base = maximizer.reward.values[sig_nodes] * w
     for j in range(tau_lvl.shape[0]):
         vals = np.where(tau_lvl[j] <= sig_lvl, pay_tau[j] * w, base).sum(axis=1)
         col_max[j] = vals.max()
         np.minimum(row_min, vals, out=row_min)
-    infsup = float(col_max.min())
-    supinf = float(row_min.max())
-    sigma = StoppingTime.from_stop_nodes(tree, np.unique(sig_nodes[int(row_min.argmax())]))
-    tau = StoppingTime.from_stop_nodes(tree, np.unique(tau_nodes[int(col_max.argmin())]))
-    value = AdaptedProcess.constant(tree, 0.5 * (supinf + infsup))
-    return GameValueReport(value, sigma, tau, infsup, supinf)
+    return float(col_max.min()), float(row_min.max())

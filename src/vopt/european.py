@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HazardError, IdentityError, TreeError
-from .filtration import (AdaptedProcess, FiniteTree, StoppingTime, backward, forward,
-                         node_values, shared_tree, snell_envelope)
+from .filtration import (AdaptedProcess, FiniteTree, StoppingProblem, StoppingTime,
+                         backward, forward, node_values, shared_tree, snell_envelope)
 
 DELTA_BUDGET_CAP = 1e3
 
@@ -85,13 +85,6 @@ class PayoffSpec:
     def bound(self) -> float:
         return float(max(self.P.values.max(), self.R.values.max()))
 
-    def stop_reward(self) -> np.ndarray:
-        """What stopping pays: R before the horizon, P at it."""
-        reward = self.R.values.copy()
-        term = self.tree.level_slice(self.tree.n_periods)
-        reward[term] = self.P.values[term]
-        return reward
-
 
 @dataclass
 class EuroSolveReport:
@@ -126,12 +119,10 @@ def _implicit_step(kind: str, e: np.ndarray, r: np.ndarray, a: np.ndarray) -> np
     ``a`` carries the coefficient times the step hazard (lambda * delta or
     n * delta).  'linear' (f = lambda (r - y)) is y = (e + a r) / (1 + a);
     'penalty_up' (f = n (r - y)^+) takes that value where r > e and e
-    elsewhere; 'penalty_down' (f = -n (y - r)^+) takes it where r < e;
-    'none' returns e.  Every backward solver of the package steps through
-    here; only the closed-form oracle keeps its own arithmetic.
+    elsewhere; 'penalty_down' (f = -n (y - r)^+) takes it where r < e.
+    Every backward solver of the package steps through here; only the
+    closed-form oracle keeps its own arithmetic.
     """
-    if kind == "none":
-        return e
     if kind not in ("linear", "penalty_up", "penalty_down"):
         raise ValueError(f"generator not solvable in one implicit step: {kind!r}")
     y = (e + a * r) / (1.0 + a)
@@ -235,16 +226,23 @@ def penalized_european(n: float, payoff: PayoffSpec, hz: ReducedHazard
     return EuroSolveReport(AdaptedProcess(tree, _implicit_backward(payoff, hz, step, None)))
 
 
-def constrained_snell(payoff: PayoffSpec, hz: ReducedHazard) -> EuroSolveReport:
-    """Optimal stopping constrained to the hazard's right support.
+def european_upper_problem(payoff: PayoffSpec, hz: ReducedHazard) -> StoppingProblem:
+    """The upper European price as an American one: recovery R before the
+    horizon and the promised payoff P at it, stopped only on the hazard's
+    right support, where termination can happen."""
+    tree = shared_tree(payoff, hz)
+    reward = payoff.R.values.copy()
+    term = tree.level_slice(tree.n_periods)
+    reward[term] = payoff.P.values[term]
+    return StoppingProblem(AdaptedProcess(tree, reward), hz.support_mask())
 
-    Reward: recovery R before the horizon, promised payoff P at the horizon;
-    stopping allowed only on the support mask.  Returns the value and the
+
+def constrained_snell(payoff: PayoffSpec, hz: ReducedHazard) -> EuroSolveReport:
+    """Optimal stopping constrained to the hazard's right support: the Snell
+    envelope of :func:`european_upper_problem`.  Returns the value and the
     earliest optimal constrained stopping time.
     """
-    tree = shared_tree(payoff, hz)
-    reward = AdaptedProcess(tree, payoff.stop_reward())
-    value, tau = snell_envelope(reward, hz.support_mask())
+    value, tau = snell_envelope(european_upper_problem(payoff, hz))
     return EuroSolveReport(value, tau_star=tau)
 
 
@@ -291,20 +289,21 @@ def dirac_convergence_check(payoff: PayoffSpec, hz: ReducedHazard, nu: StoppingT
 
     For each penalty level n the reduced price with lambda = n is evaluated
     exactly by the linear recursion (``reduced_price_linear``) and compared
-    at the stop nodes of nu with P_nu 1{nu = T} + R_nu 1{nu < T}.  One
-    implicit step gives V^n_nu - R_nu = (E - R_nu) / (1 + n delta_nu) with E
-    and R_nu in [0, B], B = ``payoff.bound()``, so every gap is at most
-    B / (1 + n delta_nu) at its node.  The gap need not shrink monotonically:
-    E moves with n and can cross R_nu, flipping the sign of the gap.
+    at the stop nodes of nu with the reward of :func:`european_upper_problem`,
+    P_nu 1{nu = T} + R_nu 1{nu < T}.  One implicit step gives
+    V^n_nu - R_nu = (E - R_nu) / (1 + n delta_nu) with E and R_nu in [0, B],
+    B = ``payoff.bound()``, so every gap is at most B / (1 + n delta_nu) at
+    its node.  The gap need not shrink monotonically: E moves with n and can
+    cross R_nu, flipping the sign of the gap.
     """
     shared_tree(payoff, hz, nu)
-    mask = hz.support_mask()
+    problem = european_upper_problem(payoff, hz)
     stop_nodes = np.unique(nu.stop_nodes_per_path())
-    if not np.all(mask[stop_nodes]):
+    if not np.all(problem.allowed[stop_nodes]):
         raise ValueError("nu stops outside the hazard support")
     if levels is None:
         levels = [2 ** k for k in range(15)]
-    target = payoff.stop_reward()[stop_nodes]
+    target = problem.reward.values[stop_nodes]
     bound, d = payoff.bound(), hz.delta[stop_nodes]
 
     gaps = []

@@ -20,6 +20,13 @@ Structure and edges are filled by whole-array operations.  A
 reweights and checks only the new Q edges.  Each tree computes its level
 slices, its ``sum_over_children`` offsets and its leaves once, at
 construction.
+
+Stopping problems.  Each price bound is posed once as a
+:class:`StoppingProblem`, a reward and the nodes where stopping is allowed
+(the horizon always), by ``european.european_upper_problem`` or
+``american.game_problems``.  Its solve, :func:`snell_envelope`, and its
+enumeration oracle, :func:`brute_force_snell_root`, read that one value;
+the oracle never calls the solve.
 """
 
 from __future__ import annotations
@@ -97,14 +104,11 @@ class FiniteTree:
             self._check_measure("Q", q_edge)
         if self.n_children[self._slices[n]].any():
             raise TreeError("terminal node with children")
-        dangling = self.n_children[:bounds[n]] < 1
-        if dangling.any():
-            raise TreeError(f"dangling node at level {int(self.level_of[dangling.argmax()])} "
-                            "(no children)")
 
     def _check_measure(self, name: str, edge: np.ndarray):
-        """Every edge of one measure finite and positive, and every sibling
-        group summing to 1; the first failing node is named."""
+        """Every edge of one measure finite and positive, every inner node
+        with a child, and every sibling group summing to 1; the first failing
+        node is named."""
         if not ((edge > 0.0) & (edge < np.inf)).all():
             finite = np.isfinite(edge)
             if not finite.all():
@@ -114,7 +118,12 @@ class FiniteTree:
                 f"{name}-probability of edge into node {int((edge <= 0.0).argmax())} is not "
                 "strictly positive (breaks measure equivalence)")
         # the children of the inner nodes, taken in parent order, are the nodes
-        # 1, 2, ...: one reduceat over their edges sums every sibling group
+        # 1, 2, ...: one reduceat over their edges sums every sibling group,
+        # once every inner node has a child
+        dangling = self.n_children[:self._slices[-1].start] < 1
+        if dangling.any():
+            raise TreeError(f"dangling node at level {int(self.level_of[dangling.argmax()])} "
+                            "(no children)")
         sums = np.add.reduceat(edge[1:], self.first_child[:self._slices[-1].start] - 1)
         bad = np.abs(sums - 1.0) > 1e-9
         if bad.any():
@@ -225,13 +234,6 @@ class StoppingTime:
     def horizon(cls, tree: FiniteTree) -> "StoppingTime":
         """tau = T."""
         s = np.zeros(tree.n_nodes, dtype=bool)
-        s[tree.level_slice(tree.n_periods)] = True
-        return cls(tree, s)
-
-    @classmethod
-    def from_stop_nodes(cls, tree: FiniteTree, nodes) -> "StoppingTime":
-        s = np.zeros(tree.n_nodes, dtype=bool)
-        s[np.asarray(list(nodes), dtype=int)] = True
         s[tree.level_slice(tree.n_periods)] = True
         return cls(tree, s)
 
@@ -561,21 +563,30 @@ def _stop_mask(tree: FiniteTree, allowed) -> np.ndarray:
     return mask
 
 
-def snell_envelope(reward, allowed: np.ndarray | None = None):
-    """Smallest Q-supermartingale dominating the reward on allowed nodes.
+@dataclass(frozen=True)
+class StoppingProblem:
+    """Stop once, at a node of ``allowed`` (None: every node), and collect
+    ``reward`` there.  The mask must allow the horizon; it is checked here."""
 
-    Backward induction ``value = max(reward, E^Q[value_next])`` at allowed
-    nodes, plain continuation elsewhere; at terminal nodes value = reward.
-    Returns ``(value, tau_star)`` where ``tau_star`` stops at the earliest
-    allowed node with reward >= continuation (ties stop).
-    """
-    tree = reward.tree
-    rv = reward.values
-    allowed = _stop_mask(tree, allowed)
-    if not np.all(allowed[tree.level_slice(tree.n_periods)]):
-        raise TreeError("mask excludes a terminal node")
+    reward: AdaptedProcess
+    allowed: np.ndarray | None = None
 
-    stop = np.zeros(tree.n_nodes, dtype=bool)
+    def __post_init__(self):
+        tree = self.reward.tree
+        mask = _stop_mask(tree, self.allowed)
+        if not mask[tree.level_slice(tree.n_periods)].all():
+            raise TreeError("mask excludes a terminal node")
+        object.__setattr__(self, "allowed", mask)
+
+
+def snell_envelope(problem: StoppingProblem):
+    """Smallest Q-supermartingale dominating the reward where stopping is
+    allowed: ``max(reward, E^Q[value_next])`` there, the continuation
+    elsewhere, the reward at the horizon.  Returns ``(value, tau_star)``;
+    ``tau_star`` stops at the earliest allowed node with reward >=
+    continuation (ties stop)."""
+    tree, rv, allowed = problem.reward.tree, problem.reward.values, problem.allowed
+    stop = allowed.copy()                 # the horizon stops; the sweep sets the rest
 
     def step(sl, cont):
         ok = allowed[sl]
@@ -583,7 +594,7 @@ def snell_envelope(reward, allowed: np.ndarray | None = None):
         return np.where(ok, np.maximum(rv[sl], cont), cont)
 
     value = backward(tree, rv, step)
-    return AdaptedProcess(tree, value), StoppingTime(tree, stop | StoppingTime.horizon(tree).stop)
+    return AdaptedProcess(tree, value), StoppingTime(tree, stop)
 
 
 def count_stopping_times(tree: FiniteTree, allowed: np.ndarray | None = None,
@@ -647,11 +658,8 @@ def evaluate_stopping(reward, tau: StoppingTime) -> float:
     return float(np.dot(tree.node_q[tree.leaves], reward.values[nodes]))
 
 
-def brute_force_snell_root(reward, allowed: np.ndarray | None = None,
-                           cap: int = DEFAULT_ENUM_CAP) -> float:
+def brute_force_snell_root(problem: StoppingProblem, cap: int = DEFAULT_ENUM_CAP) -> float:
     """max over all enumerated stopping times of evaluate_stopping (root value)."""
-    tree = reward.tree
-    allowed = _stop_mask(tree, allowed) | StoppingTime.horizon(tree).stop
-    mat = _enumerate_stop_nodes(tree, allowed, cap)
-    vals = reward.values[mat] @ tree.node_q[tree.leaves]
-    return float(np.max(vals))
+    tree = problem.reward.tree
+    mat = _enumerate_stop_nodes(tree, problem.allowed, cap)
+    return float(np.max(problem.reward.values[mat] @ tree.node_q[tree.leaves]))

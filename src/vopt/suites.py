@@ -16,6 +16,14 @@ E[eta | F] behind those checks are the per-atom Bayes sums of
 against; they run once per block of controls, and so do the three indicator
 projections of ``projections-identities`` and the two transform residuals of
 ``martingale-transforms``.
+
+The stopping suites check each price bound on its one ``StoppingProblem``.
+``european-duality`` and ``american-upper`` run the enumeration leg,
+``brute_force_snell_root`` (reported as skipped past the cap), on
+``european_upper_problem`` and ``american_upper_problem``; ``game-duality``
+runs ``brute_force_game`` and ``game_payoff`` on ``game_problems``; and
+``oracle-equivalence`` runs ``snell_envelope``, ``brute_force_snell_root``
+and ``evaluate_stopping`` on random rewards.  No oracle calls a fast solve.
 """
 
 from __future__ import annotations
@@ -25,15 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .american import (brute_force_game, game_payoff, modified_payoff,
+from .american import (american_upper_problem, brute_force_game, game_payoff,
                        penalized_american_lower, penalized_american_upper,
                        rbsde_vs_weighted_optstop)
 from .errors import EnumerationCapError, TreeError
-from .european import (dirac_convergence_check, penalized_european,
+from .european import (dirac_convergence_check, european_upper_problem, penalized_european,
                        reduced_price_closed_form, sup_over_phi)
-from .filtration import (DEFAULT_ENUM_CAP, AdaptedProcess, StoppingTime, backward,
-                         brute_force_snell_root, _enumerate_stop_nodes,
-                         evaluate_stopping, snell_envelope)
+from .filtration import (AdaptedProcess, StoppingProblem, StoppingTime, backward,
+                         brute_force_snell_root, count_stopping_times, evaluate_stopping,
+                         snell_envelope)
 from .instances import random_delta_hazard, random_payoff, random_phi, random_tree
 from .measure_change import (G_under_phi, compensated_default_residual, density_eta,
                              hazard_under_phi, phi_pr_from_marks)
@@ -206,6 +214,15 @@ def _penalty_ladder(sc: Scenario, solve, target: np.ndarray) -> tuple[list[float
     return gaps, mono_ok
 
 
+def _enumeration_leg(problem: StoppingProblem, root_value: float) -> tuple[float, dict]:
+    """|enumerated root value - ``root_value``| of a stopping problem, and the
+    details of an enumeration skipped at the cap (a zero gap then)."""
+    try:
+        return abs(brute_force_snell_root(problem) - root_value), {}
+    except EnumerationCapError as e:
+        return 0.0, {"enumeration": f"skipped: {e}"}
+
+
 def suite_european_duality(sc: Scenario) -> SuiteResult:
     tol = sc.tolerances["duality"]
     tol_id = sc.tolerances["identity"]
@@ -219,14 +236,8 @@ def suite_european_duality(sc: Scenario) -> SuiteResult:
         worst = _worst(worst, float(np.max(np.abs(sup - pen))))
     lam = 1.0 + 0.5 * np.sin(np.arange(tree.n_nodes))   # deterministic tilt
     reduced_price_closed_form(AdaptedProcess(tree, lam), payoff, hz)  # asserts 1e-12
-    oracle_gap = 0.0
-    skipped = {}
-    try:
-        reward = AdaptedProcess(tree, payoff.stop_reward())
-        bf = brute_force_snell_root(reward, hz.support_mask())
-        oracle_gap = abs(bf - snell.value.values[0])
-    except EnumerationCapError as e:
-        skipped = {"enumeration": f"skipped: {e}"}
+    oracle_gap, skipped = _enumeration_leg(european_upper_problem(payoff, hz),
+                                           snell.value.values[0])
     worst = _worst(worst, oracle_gap)
     passed = worst <= tol and mono_ok and oracle_gap <= tol_id
     return SuiteResult("european-duality", passed, worst, tol, 0.0,
@@ -252,14 +263,14 @@ def suite_rbsde_vs_optstop(sc: Scenario) -> SuiteResult:
     tol = sc.tolerances["rbsde"]
     tol_id = sc.tolerances["identity"]
     rng = np.random.default_rng(sc.phi_seed + 3)
-    rep = rbsde_vs_weighted_optstop(sc.payoff, sc.hazard_delta, tol=tol)
+    rep = rbsde_vs_weighted_optstop(sc.payoff, sc.hazard_delta)
     worst, sk = rep.max_diff, rep.skorokhod_residual
     count = 1
     if sc.family:
         for _ in range(sc.family["instances"]):
             tree = random_tree(rng, sc.family["max_periods"], sc.family["max_branching"])
             rep = rbsde_vs_weighted_optstop(random_payoff(rng, tree),
-                                            random_delta_hazard(rng, tree), tol=tol)
+                                            random_delta_hazard(rng, tree))
             worst = _worst(worst, rep.max_diff)
             sk = _worst(sk, rep.skorokhod_residual)
             count += 1
@@ -274,13 +285,8 @@ def suite_american_upper(sc: Scenario) -> SuiteResult:
     target = sc.upper
     gaps, mono_ok = _penalty_ladder(sc, penalized_american_upper, target.value.values)
     worst = gaps[-1]
-    oracle_gap = 0.0
-    skipped = {}
-    try:
-        bf = brute_force_snell_root(modified_payoff(payoff, hz))
-        oracle_gap = abs(bf - target.value.values[0])
-    except EnumerationCapError as e:
-        skipped = {"enumeration": f"skipped: {e}"}
+    oracle_gap, skipped = _enumeration_leg(american_upper_problem(payoff, hz),
+                                           target.value.values[0])
     passed = worst <= tol and mono_ok and oracle_gap <= tol_id
     return SuiteResult("american-upper", passed, _worst(worst, oracle_gap), tol, 0.0,
                        {"monotone": mono_ok, "gap_trace": gaps,
@@ -301,12 +307,11 @@ def suite_game_duality(sc: Scenario) -> SuiteResult:
     details: dict = {"penalized_gap": worst_pen}
     worst_exact = 0.0
     try:
-        bf = brute_force_game(payoff, hz)
-        worst_exact = _worst(abs(bf.infsup - bf.supinf),
-                             abs(bf.infsup - game.value.values[0]))
-        achieved = game_payoff(payoff, game.sigma_star, game.tau_star)
+        infsup, supinf = brute_force_game(payoff, hz)
+        worst_exact = _worst(abs(infsup - supinf), abs(infsup - game.value.values[0]))
+        achieved = game_payoff(payoff, hz, game.sigma_star, game.tau_star)
         worst_exact = _worst(worst_exact, abs(achieved - game.value.values[0]))
-        details.update({"infsup": bf.infsup, "supinf": bf.supinf,
+        details.update({"infsup": infsup, "supinf": supinf,
                         "strategies_achieve": achieved})
     except EnumerationCapError as e:
         details["enumeration"] = f"skipped: {e}"
@@ -326,19 +331,19 @@ def suite_oracle_equivalence(sc: Scenario) -> SuiteResult:
             tree = random_tree(rng, min(sc.family["max_periods"], 3), 2)
             specs.append((tree, random_payoff(rng, tree), random_delta_hazard(rng, tree)))
     for tree, payoff, hz in specs:
-        # each enumeration checks its row count against the counting formula
-        masks = (np.ones(tree.n_nodes, dtype=bool), hz.support_mask())
+        # a reward is drawn only for a tree whose enumeration fits the cap;
+        # stopping anywhere counts the most stopping times
         try:
-            stop_nodes = [_enumerate_stop_nodes(tree, m, DEFAULT_ENUM_CAP) for m in masks]
+            count_stopping_times(tree)
         except EnumerationCapError:
             continue
         reward = AdaptedProcess(tree, rng.uniform(0.0, 3.0, tree.n_nodes))
-        w = tree.node_q[tree.leaves]
-        for mask, mat in zip(masks, stop_nodes):
-            val, tau = snell_envelope(reward, mask)
-            bf = float(np.max(reward.values[mat] @ w))
-            worst = _worst(worst, abs(val.values[0] - bf),
-                           abs(evaluate_stopping(reward, tau) - val.values[0]))
+        for mask in (None, hz.support_mask()):
+            problem = StoppingProblem(reward, mask)
+            val, tau = snell_envelope(problem)
+            root = val.values[0]
+            worst = _worst(worst, abs(root - brute_force_snell_root(problem)),
+                           abs(evaluate_stopping(reward, tau) - root))
         count += 1
     return SuiteResult("oracle-equivalence", worst <= tol, worst, tol, 0.0,
                        {"instances": count})

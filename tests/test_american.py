@@ -5,14 +5,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from vopt.american import (american_upper_price, brute_force_game, constrained_dynkin_game,
-                           game_payoff, modified_payoff, penalized_american_lower,
+from vopt.american import (american_upper_price, american_upper_problem, brute_force_game,
+                           constrained_dynkin_game, game_payoff, penalized_american_lower,
                            penalized_american_upper, rbsde_vs_weighted_optstop,
                            reflected_gbsde_solve)
 from vopt.errors import EnumerationCapError, TreeError
-from vopt.european import PayoffSpec, ReducedHazard, reduced_price_linear
-from vopt.filtration import (AdaptedProcess, backward, brute_force_snell_root,
-                             build_tree, count_stopping_times, snell_envelope)
+from vopt.european import PayoffSpec, ReducedHazard
+from vopt.filtration import (AdaptedProcess, StoppingProblem, backward,
+                             brute_force_snell_root, build_tree, count_stopping_times,
+                             snell_envelope)
 from vopt.instances import random_delta_hazard, random_payoff, random_tree
 
 TOL = 1e-12
@@ -60,22 +61,11 @@ def test_reflected_zero_generator_is_snell():
     tree = random_tree(rng)
     pay = random_payoff(rng, tree)
     hz = random_delta_hazard(rng, tree)
-    rep = reflected_gbsde_solve("none", 0.0, pay, hz)
-    snell, _ = snell_envelope(pay.P)
+    # the penalty at level 0 is no generator: each step is the continuation
+    rep = reflected_gbsde_solve("penalty_up", 0.0, pay, hz)
+    snell, _ = snell_envelope(StoppingProblem(pay.P))
     assert np.max(np.abs(rep.value.values - snell.values)) <= TOL
     assert rep.max_skorokhod_residual() <= TOL
-
-
-def test_reflected_disabled_obstacle_is_linear_solve():
-    rng = np.random.default_rng(61)
-    tree = random_tree(rng)
-    pay = random_payoff(rng, tree)
-    hz = random_delta_hazard(rng, tree)
-    below = AdaptedProcess.constant(tree, -1e9)
-    rep = reflected_gbsde_solve("linear", 1.7, pay, hz, obstacle=below)
-    lin = reduced_price_linear(1.7, pay, hz)
-    assert np.max(np.abs(rep.value.values - lin.value.values)) <= TOL
-    assert np.max(rep.K_increments) <= TOL
 
 
 def test_reflected_two_period_hand_solve():
@@ -123,7 +113,7 @@ def test_rbsde_vs_weighted_trivial_cases():
                      AdaptedProcess.constant(tree, 0.0))
     hz = ReducedHazard(tree, np.zeros(tree.n_nodes))
     rep = rbsde_vs_weighted_optstop(pay, hz)
-    snell, _ = snell_envelope(pay.P)
+    snell, _ = snell_envelope(StoppingProblem(pay.P))
     assert np.max(np.abs(rep.value_rbsde.values - snell.values)) <= TOL
     assert rep.max_diff <= 1e-10
 
@@ -190,7 +180,7 @@ def test_upper_price_reduces_to_snell_without_support():
     pay = random_payoff(rng, tree)
     hz = ReducedHazard(tree, np.zeros(tree.n_nodes))
     up = american_upper_price(pay, hz)
-    snell, _ = snell_envelope(pay.P)
+    snell, _ = snell_envelope(StoppingProblem(pay.P))
     assert np.max(np.abs(up.value.values - snell.values)) <= TOL
 
 
@@ -203,7 +193,7 @@ def test_upper_price_limit_and_oracle():
         target = american_upper_price(pay, hz)
         pen = penalized_american_upper(2 ** 20, pay, hz)
         assert np.max(np.abs(pen.value.values - target.value.values)) <= 1e-5
-        bf = brute_force_snell_root(modified_payoff(pay, hz))
+        bf = brute_force_snell_root(american_upper_problem(pay, hz))
         assert target.value.values[0] == pytest.approx(bf, abs=TOL)
 
 
@@ -229,7 +219,7 @@ def test_game_support_only_horizon_is_snell():
     pay = random_payoff(rng, tree, r_dominates=True)
     hz = ReducedHazard(tree, np.zeros(tree.n_nodes))
     game = constrained_dynkin_game(pay, hz)
-    snell, _ = snell_envelope(pay.P)
+    snell, _ = snell_envelope(StoppingProblem(pay.P))
     assert np.max(np.abs(game.value.values - snell.values)) <= TOL
 
 
@@ -237,9 +227,9 @@ def test_game_one_period_value():
     tree, pay, hz = one_period_instance()
     game = constrained_dynkin_game(pay, hz)
     assert game.value.values[0] == pytest.approx(1.0, abs=TOL)  # min(2, max(0.5, 1))
-    bf = brute_force_game(pay, hz)
-    assert bf.infsup == pytest.approx(1.0, abs=TOL)
-    assert bf.supinf == pytest.approx(1.0, abs=TOL)
+    infsup, supinf = brute_force_game(pay, hz)
+    assert infsup == pytest.approx(1.0, abs=TOL)
+    assert supinf == pytest.approx(1.0, abs=TOL)
 
 
 def test_game_requires_dominated_promise_on_support():
@@ -257,9 +247,9 @@ def test_game_equal_payoffs_settle_at_promise_on_support():
     pay_eq = PayoffSpec(pay.P, pay.P)
     game = constrained_dynkin_game(pay_eq, hz)
     assert game.value.values[0] == pytest.approx(0.5, abs=TOL)
-    bf = brute_force_game(pay_eq, hz)
-    assert bf.infsup == pytest.approx(0.5, abs=TOL)
-    assert bf.supinf == pytest.approx(0.5, abs=TOL)
+    infsup, supinf = brute_force_game(pay_eq, hz)
+    assert infsup == pytest.approx(0.5, abs=TOL)
+    assert supinf == pytest.approx(0.5, abs=TOL)
 
 
 def test_game_minimax_matches_backward_and_strategies():
@@ -267,11 +257,11 @@ def test_game_minimax_matches_backward_and_strategies():
     for _ in range(8):
         gi = random_game_instance(rng, max_periods=3)
         game = constrained_dynkin_game(gi.payoff, gi.hz)
-        bf = brute_force_game(gi.payoff, gi.hz)
-        assert bf.supinf <= bf.infsup + TOL
-        assert abs(bf.infsup - bf.supinf) <= TOL
-        assert game.value.values[0] == pytest.approx(bf.infsup, abs=TOL)
-        achieved = game_payoff(gi.payoff, game.sigma_star, game.tau_star)
+        infsup, supinf = brute_force_game(gi.payoff, gi.hz)
+        assert supinf <= infsup + TOL
+        assert abs(infsup - supinf) <= TOL
+        assert game.value.values[0] == pytest.approx(infsup, abs=TOL)
+        achieved = game_payoff(gi.payoff, gi.hz, game.sigma_star, game.tau_star)
         assert achieved == pytest.approx(game.value.values[0], abs=TOL)
 
 

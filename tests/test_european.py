@@ -8,7 +8,7 @@ from vopt.european import (DiracTable, PayoffSpec, ReducedHazard, _implicit_back
                            _implicit_step, constrained_snell, dirac_convergence_check,
                            penalized_european, reduced_price_closed_form,
                            reduced_price_linear, sup_over_phi)
-from vopt.filtration import (AdaptedProcess, StoppingTime, backward,
+from vopt.filtration import (AdaptedProcess, StoppingProblem, StoppingTime, backward,
                              brute_force_snell_root, build_tree)
 from vopt.instances import random_delta_hazard, random_payoff, random_tree
 
@@ -78,8 +78,7 @@ def test_implicit_step_solves_each_generator():
     e, r = rng.uniform(0, 2, 50), rng.uniform(0, 2, 50)
     coeff, delta = 3.0, rng.uniform(0, 1.5, 50)
     a = coeff * delta
-    gens = {"none": lambda y: 0.0 * y,
-            "linear": lambda y: coeff * (r - y),
+    gens = {"linear": lambda y: coeff * (r - y),
             "penalty_up": lambda y: coeff * np.maximum(r - y, 0.0),
             "penalty_down": lambda y: -coeff * np.maximum(y - r, 0.0)}
     for kind, f in gens.items():
@@ -191,7 +190,8 @@ def test_constrained_snell_equals_enumeration():
         reward = pay.R.values.copy()
         term = tree.level_slice(tree.n_periods)
         reward[term] = pay.P.values[term]
-        bf = brute_force_snell_root(AdaptedProcess(tree, reward), hz.support_mask())
+        bf = brute_force_snell_root(StoppingProblem(AdaptedProcess(tree, reward),
+                                                    hz.support_mask()))
         assert rep.value.values[0] == pytest.approx(bf, abs=TOL)
 
 

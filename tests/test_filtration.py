@@ -7,8 +7,8 @@ import pytest
 
 import vopt.filtration as filtration
 from vopt.errors import EnumerationCapError, IdentityError, TreeError
-from vopt.filtration import (AdaptedProcess, StoppingTime, TimeGrid, backward,
-                             brute_force_snell_root, build_tree, condexp,
+from vopt.filtration import (AdaptedProcess, StoppingProblem, StoppingTime, TimeGrid,
+                             backward, brute_force_snell_root, build_tree, condexp,
                              count_stopping_times, doob_decomposition,
                              evaluate_stopping, forward, martingale_residual,
                              snell_envelope)
@@ -158,7 +158,7 @@ def test_doob_properties_random():
     for _ in range(10):
         tree = random_tree(rng)
         reward = AdaptedProcess(tree, rng.uniform(0, 3, tree.n_nodes))
-        value, _ = snell_envelope(reward)
+        value, _ = snell_envelope(StoppingProblem(reward))
         n, b = doob_decomposition(value)
         assert martingale_residual(tree, n.values, "Q") <= TOL
         # B nondecreasing and predictable by construction; increases only on contact
@@ -176,7 +176,7 @@ def test_doob_properties_random():
 def test_snell_monotone_reward_stops_at_horizon():
     tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
     reward = AdaptedProcess(tree, tree.level_of.astype(float))
-    value, tau = snell_envelope(reward)
+    value, tau = snell_envelope(StoppingProblem(reward))
     assert value.values[0] == pytest.approx(2.0, abs=TOL)
     assert tau.stop_levels().min() == tree.n_periods
 
@@ -184,11 +184,11 @@ def test_snell_monotone_reward_stops_at_horizon():
 def test_snell_immediate_stop():
     tree = one_period()
     reward = AdaptedProcess(tree, np.array([10.0, 2.0, 0.0]))
-    value, tau = snell_envelope(reward)
+    value, tau = snell_envelope(StoppingProblem(reward))
     assert value.values[0] == pytest.approx(10.0, abs=TOL)
     assert tau.stop[0]
     # a tie between reward and continuation stops
-    _, tau = snell_envelope(AdaptedProcess(tree, np.array([1.0, 2.0, 0.0])))
+    _, tau = snell_envelope(StoppingProblem(AdaptedProcess(tree, np.array([1.0, 2.0, 0.0]))))
     assert tau.stop[0]
 
 
@@ -199,9 +199,9 @@ def test_snell_equals_enumeration():
         reward = AdaptedProcess(tree, rng.uniform(0, 3, tree.n_nodes))
         mask = rng.random(tree.n_nodes) < 0.6
         mask |= StoppingTime.horizon(tree).stop
-        value, tau = snell_envelope(reward, mask)
-        assert value.values[0] == pytest.approx(
-            brute_force_snell_root(reward, mask), abs=TOL)
+        problem = StoppingProblem(reward, mask)
+        value, tau = snell_envelope(problem)
+        assert value.values[0] == pytest.approx(brute_force_snell_root(problem), abs=TOL)
         assert evaluate_stopping(reward, tau) == pytest.approx(
             value.values[0], abs=TOL)
         # supermartingale dominating the masked reward
@@ -216,7 +216,7 @@ def test_snell_mask_must_include_terminals():
     tree = one_period()
     mask = np.array([True, True, False])
     with pytest.raises(TreeError, match="terminal"):
-        snell_envelope(AdaptedProcess.constant(tree, 1.0), mask)
+        StoppingProblem(AdaptedProcess.constant(tree, 1.0), mask)
 
 
 def test_stop_masks_need_one_flag_per_node():
@@ -225,9 +225,8 @@ def test_stop_masks_need_one_flag_per_node():
     for mask in (np.ones(5, dtype=bool), np.ones(9, dtype=bool), "Q"):
         shape = np.shape(mask)
         msg = rf"^stop mask has shape {re.escape(str(shape))}, tree has 7 nodes$"
-        for call in (lambda: snell_envelope(reward, mask),
-                     lambda: count_stopping_times(tree, mask),
-                     lambda: brute_force_snell_root(reward, mask)):
+        for call in (lambda: StoppingProblem(reward, mask),
+                     lambda: count_stopping_times(tree, mask)):
             with pytest.raises(TreeError, match=msg):
                 call()
 
@@ -254,13 +253,13 @@ def test_enumeration_cap():
 def test_evaluate_stopping_examples():
     tree = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
     reward = AdaptedProcess(tree, np.arange(tree.n_nodes, dtype=float))
-    root_stop = StoppingTime.from_stop_nodes(tree, [0])
+    root_stop = StoppingTime(tree, np.ones(tree.n_nodes, dtype=bool))
     assert evaluate_stopping(reward, root_stop) == pytest.approx(0.0, abs=TOL)
     horizon = StoppingTime.horizon(tree)
     chain = backward(tree, reward.values[tree.level_slice(2)])[0]
     assert evaluate_stopping(reward, horizon) == pytest.approx(chain, abs=TOL)
     # arbitrary stop set vs hand path-sum
-    tau = StoppingTime.from_stop_nodes(tree, [1])
+    tau = StoppingTime(tree, horizon.stop | (np.arange(tree.n_nodes) == 1))
     hand = 0.5 * reward.values[1] + 0.5 * (0.5 * reward.values[5] + 0.5 * reward.values[6])
     assert evaluate_stopping(reward, tau) == pytest.approx(hand, abs=TOL)
 
@@ -518,6 +517,14 @@ def test_hand_built_structure_errors():
     assert str(exc.value) == "terminal node with children"
     with pytest.raises(TreeError) as exc:
         hand_built([2, 1, 0, 0, 0])
+    assert str(exc.value) == "dangling node at level 1 (no children)"
+    # node 1 holds both children of level 2 and node 2 none: the sibling sums
+    # would read a child offset of -2
+    edge = np.array([1.0, 0.5, 0.5, 0.5, 0.5])
+    with pytest.raises(TreeError) as exc:
+        filtration.FiniteTree(TimeGrid(np.array([0.0, 1.0, 2.0])),
+                              np.array([-1, 0, 0, 1, 1]), np.array([1, 3, -1, -1, -1]),
+                              np.array([2, 2, 0, 0, 0]), edge, edge, np.array([0, 1, 3, 5]))
     assert str(exc.value) == "dangling node at level 1 (no children)"
     # the edges are checked before the structure
     with pytest.raises(TreeError) as exc:

@@ -10,14 +10,15 @@ Coefficients (lambda, the penalty level, phi^o) are read through
 import numpy as np
 import pytest
 
-from vopt.american import (american_upper_price, brute_force_game, constrained_dynkin_game,
-                           game_payoff, modified_payoff, penalized_american_lower,
-                           penalized_american_upper, rbsde_vs_weighted_optstop,
-                           reflected_gbsde_solve)
+from vopt.american import (american_upper_price, american_upper_problem, brute_force_game,
+                           constrained_dynkin_game, game_payoff, game_problems,
+                           penalized_american_lower, penalized_american_upper,
+                           rbsde_vs_weighted_optstop, reflected_gbsde_solve)
 from vopt.errors import TreeError
 from vopt.european import (PayoffSpec, ReducedHazard, constrained_snell,
-                           dirac_convergence_check, penalized_european,
-                           reduced_price_closed_form, reduced_price_linear, sup_over_phi)
+                           dirac_convergence_check, european_upper_problem,
+                           penalized_european, reduced_price_closed_form,
+                           reduced_price_linear, sup_over_phi)
 from vopt.filtration import (AdaptedProcess, StoppingTime, build_tree, evaluate_stopping,
                              node_values, shared_tree)
 from vopt.measure_change import PhiControl, density_eta, phi_pr_from_marks, validate_phi
@@ -49,6 +50,7 @@ MIXED_CALLS = {
     "reduced_price_closed_form hazard": lambda: reduced_price_closed_form(1.0, PAY, HZ_B),
     "reduced_price_closed_form sigma": lambda: reduced_price_closed_form(1.0, PAY, HZ, SIG_B),
     "penalized_european": lambda: penalized_european(4.0, PAY, HZ_B),
+    "european_upper_problem": lambda: european_upper_problem(PAY, HZ_B),
     "constrained_snell": lambda: constrained_snell(PAY, HZ_B),
     "sup_over_phi": lambda: sup_over_phi(4.0, PAY, HZ_B),
     "dirac_convergence_check hazard": lambda: dirac_convergence_check(PAY, HZ_B, NU),
@@ -56,17 +58,17 @@ MIXED_CALLS = {
     "reflected_gbsde_solve hazard": lambda: reflected_gbsde_solve("linear", 1.0, PAY, HZ_B),
     "reflected_gbsde_solve coefficient": lambda: reflected_gbsde_solve("linear", LAM_B,
                                                                        PAY, HZ),
-    "reflected_gbsde_solve obstacle": lambda: reflected_gbsde_solve(
-        "linear", 1.0, PAY, HZ, obstacle=AdaptedProcess.constant(B, 0.1)),
     "penalized_american_upper": lambda: penalized_american_upper(4.0, PAY, HZ_B),
     "penalized_american_lower": lambda: penalized_american_lower(4.0, PAY, HZ_B),
     "rbsde_vs_weighted_optstop": lambda: rbsde_vs_weighted_optstop(PAY, HZ_B),
-    "modified_payoff": lambda: modified_payoff(PAY, HZ_B),
+    "game_problems": lambda: game_problems(PAY, HZ_B),
+    "american_upper_problem": lambda: american_upper_problem(PAY, HZ_B),
     "american_upper_price": lambda: american_upper_price(PAY, HZ_B),
     "constrained_dynkin_game": lambda: constrained_dynkin_game(PAY, HZ_B),
     "brute_force_game": lambda: brute_force_game(PAY, HZ_B),
-    "game_payoff sigma": lambda: game_payoff(PAY, SIG_B, SIG),
-    "game_payoff tau": lambda: game_payoff(PAY, SIG, SIG_B),
+    "game_payoff hazard": lambda: game_payoff(PAY, HZ_B, SIG, SIG),
+    "game_payoff sigma": lambda: game_payoff(PAY, HZ, SIG_B, SIG),
+    "game_payoff tau": lambda: game_payoff(PAY, HZ, SIG, SIG_B),
     "evaluate_stopping": lambda: evaluate_stopping(PAY.P, SIG_B),
     "full_price_assembly": lambda: full_price_assembly(
         projections(cox_extend(B, HazardSpec.constant(B, 0.3))), PAY),
@@ -93,7 +95,7 @@ def test_the_same_calls_run_on_one_tree():
     assert density_eta(PhiControl(AdaptedProcess.constant(A, 0.1)), BUNDLE).eta.shape[1] == 3
     assert phi_pr_from_marks(BUNDLE, np.linspace(-0.5, 0.5, 7), lam).shape == (7,)
     assert constrained_snell(PAY, HZ).value.tree is A
-    assert game_payoff(PAY, SIG, SIG) == pytest.approx(float(A.node_q[A.leaves]
+    assert game_payoff(PAY, HZ, SIG, SIG) == pytest.approx(float(A.node_q[A.leaves]
                                                              @ PAY.P.values[A.leaves]))
 
 

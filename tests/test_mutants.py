@@ -17,7 +17,10 @@ from pathlib import Path
 import pytest
 
 import vopt
-from vopt import measure_change, random_time
+from vopt import american, european, measure_change, random_time
+from vopt.american import american_upper_problem, brute_force_game
+from vopt.european import european_upper_problem
+from vopt.filtration import brute_force_snell_root
 from vopt.scenario import parse_scenario
 from vopt.suites import run_suites
 
@@ -145,3 +148,48 @@ def test_g_cells_with_a_strict_default_state_fail_suites(monkeypatch):
           ("where=theta <= np.arange(n + 1)", "where=theta < np.arange(n + 1)"))
     assert failing_suites() == ["projections-identities", "martingale-transforms",
                                 "measure-change"]
+
+
+STOPPING_MUTANTS = {
+    "support read at the child": (european, [
+        ("mask = self.delta > 0.0", "mask = self.delta[self.tree.parent] > 0.0")],
+        ["european-duality", "dirac-convergence", "american-upper", "game-duality"]),
+    "minimizer allowed everywhere": (american, [
+        ("StoppingProblem(AdaptedProcess(payoff.tree, upper), european.allowed))",
+         "StoppingProblem(AdaptedProcess(payoff.tree, upper)))")],
+        ["american-upper", "game-duality"]),
+    "backward game's minimizer stops off the support": (american, [
+        ("val = np.where(early[sl], np.minimum(upper[sl], stop_max), stop_max)",
+         "val = np.minimum(upper[sl], stop_max)"),
+        ("tau[sl] = early[sl] & (upper[sl] <= val)", "tau[sl] = upper[sl] <= val")],
+        ["game-duality"]),
+}
+
+
+@pytest.mark.parametrize("mutant", list(STOPPING_MUTANTS))
+def test_stopping_problems_catch(mutant, monkeypatch):
+    module, edits, failing = STOPPING_MUTANTS[mutant]
+    plant(monkeypatch, module, *edits)
+    assert failing_suites() == failing
+
+
+def test_oracles_never_call_the_fast_solves(monkeypatch):
+    # the enumeration oracles pose the same problems but never solve them
+    # through the envelope or the backward game
+    sc = parse_scenario(str(PACKAGED))
+    problems = [pose(sc.payoff, sc.hazard_delta)
+                for pose in (european_upper_problem, american_upper_problem)]
+    want = [brute_force_snell_root(p) for p in problems]
+    game = brute_force_game(sc.payoff, sc.hazard_delta)
+
+    def raising(*args, **kwargs):
+        raise AssertionError("an oracle called a fast solve")
+
+    for mod in [m for n, m in sys.modules.items() if n == "vopt" or n.startswith("vopt.")]:
+        for name in ("snell_envelope", "constrained_dynkin_game"):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, raising)
+    assert [brute_force_snell_root(p) for p in problems] == want
+    assert brute_force_game(sc.payoff, sc.hazard_delta) == game
+    with pytest.raises(AssertionError, match="fast solve"):
+        sc.snell

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vopt
-from vopt import cli, european, filtration, instances, random_time, scenario, suites
+from vopt import american, cli, european, filtration, instances, random_time, scenario, suites
 from vopt.filtration import AdaptedProcess
 from vopt.random_time import projections
 from vopt.scenario import parse_scenario, scenario_from_dict
@@ -113,14 +113,40 @@ def test_oracle_suite_counts_each_tree_and_mask_once(monkeypatch):
         seen.append((id(tree), None if allowed is None else bytes(np.asarray(allowed))))
         return real(tree, allowed, cap)
 
-    monkeypatch.setattr(filtration, "count_stopping_times", counting)
+    for mod in (filtration, suites):
+        monkeypatch.setattr(mod, "count_stopping_times", counting)
     sc = parse_scenario(str(PACKAGED))
     res = suites.suite_oracle_equivalence(sc)
     assert res.passed and res.details["instances"] == 9
-    # per instance: all nodes allowed, then the support; nothing counted twice
-    assert len(seen) == 2 * 9
-    assert [allowed == b"\x01" * len(allowed) for _, allowed in seen[::2]] == [True] * 9
-    assert len({tree for tree, _ in seen}) == 9
+    # per instance: the cap check before the reward is drawn, with every node
+    # allowed, then one enumeration per problem: all nodes, then the support
+    assert len(seen) == 3 * 9
+    trees = [tree for tree, _ in seen]
+    assert trees == [tree for tree in trees[::3] for _ in range(3)]
+    assert len(set(trees)) == 9
+    everywhere = [allowed is None or allowed == b"\x01" * len(allowed) for _, allowed in seen]
+    assert everywhere[0::3] == everywhere[1::3] == [True] * 9
+
+
+def test_rbsde_suite_reports_the_gap_it_measures(monkeypatch):
+    # one route shifted by 1e-9 at the root: the suite fails on the gap it
+    # measured, held against tolerances.rbsde, and reports no error
+    sc = parse_scenario(str(PACKAGED))
+    sc.suites = ["rbsde-vs-optstop"]
+    real = american.reflected_gbsde_solve
+
+    def shifted(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        vals = rep.value.values.copy()
+        vals[0] += 1e-9
+        return dataclasses.replace(rep, value=AdaptedProcess(rep.value.tree, vals))
+
+    monkeypatch.setattr(american, "reflected_gbsde_solve", shifted)
+    (res,) = suites.run_suites(sc).results
+    assert "error" not in res.details
+    assert res.tolerance == sc.tolerances["rbsde"]
+    assert res.max_residual == pytest.approx(1e-9, rel=1e-4)
+    assert not res.passed
 
 
 def test_family_is_built_once_per_run(monkeypatch, tmp_path):
