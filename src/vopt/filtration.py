@@ -391,9 +391,12 @@ def _flat_rows(given, counts: list[np.ndarray], label: str):
     """The rows of a per-level, per-node probability spec laid end to end,
     and the first layout error (a level with the wrong number of rows, or a
     row with the wrong number of entries) or None; with an error, the rows
-    before it.  ``"uniform"`` is passed through."""
+    before it.  ``"uniform"`` is passed through; a wrong number of levels
+    raises."""
     if isinstance(given, str) and given == "uniform":
         return given, None
+    if len(given) != len(counts):
+        raise TreeError(f"{label} has {len(given)} levels, expected {len(counts)}")
     parts = [np.empty(0)]
     for k, cnt in enumerate(counts):
         rows = given[k]

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -88,7 +88,6 @@ class Scenario:
     penalty_ladder: list[int]
     family: dict | None
     output_dir: str
-    raw: dict = field(repr=False, default_factory=dict)
 
     @cached_property
     def cox_form(self) -> CoxClosedForm:
@@ -228,6 +227,22 @@ def _object(raw: dict, key: str) -> dict:
     return sec
 
 
+def _tree_spec(raw: dict) -> dict:
+    """The ``tree`` section, with the keys ``build_tree`` indexes checked:
+    ``times`` given, and ``p`` and ``q`` "uniform" (their default) or a
+    non-empty list of levels; ``build_tree`` checks the rest."""
+    spec = _object(raw, "tree")
+    if "times" not in spec:
+        raise ScenarioError("tree.times: missing (the time grid)")
+    for key in ("p", "q"):
+        rows = spec.get(key, "uniform")
+        if rows == "uniform" or (key == "q" and rows is None):     # q null: Q = P
+            continue
+        if not (isinstance(rows, list) and rows):
+            raise ScenarioError(f'tree.{key}: expected "uniform" or a list of levels')
+    return spec
+
+
 def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("a scenario must be a JSON object")
@@ -237,7 +252,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     if "tree" not in raw:
         raise ScenarioError("missing 'tree' section")
     with _section("tree"):
-        tree = build_tree(_object(raw, "tree"))
+        tree = build_tree(_tree_spec(raw))
 
     hz_raw = _object(raw, "hazard")
     with _section("hazard"):
@@ -301,4 +316,4 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                     phi_seed=phi_seed, phi_count=phi_count,
                     suites=list(suites), tolerances=tol, penalty_ladder=ladder,
                     family=family,
-                    output_dir=out_dir or os.environ.get("VOPT_OUT_DIR", "out"), raw=raw)
+                    output_dir=out_dir or os.environ.get("VOPT_OUT_DIR", "out"))

@@ -62,7 +62,7 @@ GOLDEN_SHA256 = {
     "strategies_game.csv": "217a19878a0f13fc25fd76f76d0d6a464086a73335142aa26c3305388d77ecca",
     "bundle.csv": "336d69a4c225f75c85d62f0b009536d5d36f350bf85197eb432135abf11d9ea3",
     # every suite's residual digits, so a changed residual shows
-    "report.json": "fdc1c887a1f2ef90b905e77a2e9987888469e36a359fc2c411e26b970871c410",
+    "report.json": "c2eaff7e30d8182766b878b6911109c18da17f80be5a01c590cebdf4d4fb812a",
 }
 
 
@@ -143,6 +143,12 @@ BAD_INPUTS = {
     "unknown phi key": _rename("phi", "count", "cout"),
     "unknown random_family key": _rename("random_family", "instances", "instance"),
     "unknown output key": _rename("output", "dir", "directory"),
+    # tree keys that the tree builder indexes
+    "empty tree p": _set(["tree", "p"], []),
+    "empty tree q": _set(["tree", "q"], []),
+    "tree p an object": _set(["tree", "p"], {"constant": -1}),
+    "tree without times": lambda raw: raw["tree"].pop("times"),
+    "tree p one level short": _set(["tree", "p"], [[[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]),
 }
 # the scenario key that the error of each of these cases must name first
 NAMED_KEY = {
@@ -165,7 +171,9 @@ NAMED_KEY = {
     "by_level not a list": "payoff.P.by_level", "unknown tree key": "tree.zf_leafs",
     "unknown hazard key": "hazard.dleta", "unknown payoff key": "payoff.r",
     "unknown phi key": "phi.cout", "unknown random_family key": "random_family.instance",
-    "unknown output key": "output.directory",
+    "unknown output key": "output.directory", "empty tree p": "tree.p",
+    "empty tree q": "tree.q", "tree p an object": "tree.p",
+    "tree without times": "tree.times",
 }
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vopt import european, filtration
 from vopt.errors import HazardError
 from vopt.european import (DiracTable, PayoffSpec, ReducedHazard, _implicit_backward,
                            _implicit_step, constrained_snell, dirac_convergence_check,
@@ -97,7 +98,9 @@ def test_closed_form_equals_linear_everywhere():
         pay = random_payoff(rng, tree)
         hz = random_delta_hazard(rng, tree)
         lam = AdaptedProcess(tree, rng.uniform(0.2, 3.0, tree.n_nodes))
-        reduced_price_closed_form(lam, pay, hz)  # internal 1e-12 assert
+        closed = reduced_price_closed_form(lam, pay, hz)
+        lin = reduced_price_linear(lam, pay, hz)
+        assert np.max(np.abs(closed.value.values - lin.value.values)) <= TOL
 
 
 
@@ -110,12 +113,36 @@ def test_closed_form_stops_at_sigma(seed):
     pay = random_payoff(rng, tree)
     hz = random_delta_hazard(rng, tree)
     sigma = StoppingTime(tree, hz.support_mask())
-    closed = reduced_price_closed_form(1.0, pay, hz, sigma=sigma)  # internal assert
+    closed = reduced_price_closed_form(1.0, pay, hz, sigma=sigma)
     lin = reduced_price_linear(1.0, pay, hz, sigma=sigma)
     assert np.max(np.abs(closed.value.values - lin.value.values)) <= TOL
     # at the first stop node of each path the value is the payoff there
     first = sigma.stop_nodes_per_path()
     assert np.array_equal(closed.value.values[first], pay.P.values[first])
+
+def test_closed_form_calls_nothing_of_the_recursion(monkeypatch):
+    # the closed form is the independent route european-duality checks the
+    # recursion against: it returns the same sum with every backward solve
+    # made to raise
+    rng = np.random.default_rng(44)
+    tree = random_tree(rng, 4, 3)
+    pay, hz = random_payoff(rng, tree), random_delta_hazard(rng, tree)
+    lam = AdaptedProcess(tree, rng.uniform(0.2, 3.0, tree.n_nodes))
+    sigma = StoppingTime(tree, hz.support_mask())
+    want = [reduced_price_closed_form(lam, pay, hz, s).value.values for s in (None, sigma)]
+
+    def raising(*args, **kwargs):
+        raise AssertionError("the closed form called the recursion")
+
+    for mod, name in ((european, "reduced_price_linear"), (european, "_implicit_backward"),
+                      (european, "_implicit_step"), (european, "backward"),
+                      (filtration, "backward")):
+        monkeypatch.setattr(mod, name, raising)
+    got = [reduced_price_closed_form(lam, pay, hz, s).value.values for s in (None, sigma)]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    with pytest.raises(AssertionError, match="recursion"):
+        reduced_price_linear(lam, pay, hz)
+
 
 def test_closed_form_limits():
     tree, pay, hz = one_period_instance()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import vopt
-from vopt.errors import AdmissibilityError, IdentityError
+from vopt import suites
+from vopt.errors import AdmissibilityError
 from vopt.filtration import AdaptedProcess, build_tree, forward
 from vopt.instances import (random_extension, random_hazard_h, random_payoff, random_phi,
                             random_tree)
@@ -136,9 +137,11 @@ def test_survival_factor_violation():
     assert any("dGamma~ < 1" in v for v in rep.violations)
 
 
+PACKAGED = Path(vopt.__file__).parent / "scenarios" / "paper_regression.json"
+
+
 def packaged_bundle():
-    return parse_scenario(str(Path(vopt.__file__).parent / "scenarios"
-                              / "paper_regression.json")).bundle
+    return parse_scenario(str(PACKAGED)).bundle
 
 
 def test_nan_phi_o_is_a_violation_at_its_node():
@@ -163,16 +166,27 @@ def test_nan_phi_pr_is_a_violation_at_its_node():
         density_eta(phi, b)
 
 
-def test_nan_residual_fails_the_rules():
-    # every raise check reads "not (residual <= bound)", so NaN raises
+def test_nan_residual_fails_the_suite(monkeypatch):
+    # the rules return the NaN they measure, and it fails the suite's
+    # `residual <= tol`: NaN never passes
     b = packaged_bundle()
     dens = density_eta(zero_phi(b.ext.base), b)
     dens.d_lambda = dens.d_lambda.copy()
     dens.d_lambda[4] = np.nan
-    with pytest.raises(IdentityError, match="disagree by nan"):
-        hazard_under_phi(dens)
-    with pytest.raises(IdentityError, match="disagree by nan"):
-        G_under_phi(dens)
+    assert np.isnan(hazard_under_phi(dens).two_route_residual)
+    assert np.isnan(G_under_phi(dens).two_route_residual)
+    real = suites.density_eta
+
+    def nan_at_the_last_node(phi, bundle):
+        dens = real(phi, bundle)
+        dens.d_lambda = dens.d_lambda.copy()
+        dens.d_lambda[..., -1] = np.nan
+        return dens
+
+    monkeypatch.setattr(suites, "density_eta", nan_at_the_last_node)
+    res = suites.suite_measure_change(parse_scenario(str(PACKAGED)))
+    assert np.isnan(res.max_residual) and not res.passed
+    assert "error" not in res.details
 
 
 def test_cap_enforced():
@@ -254,6 +268,7 @@ def test_hazard_rule_identity_control():
     b = projections(ext)
     rep = hazard_under_phi(under_phi(b, zero_phi(tree)))
     assert np.max(np.abs(rep.value - b.GammaTilde.values)) <= TOL
+    assert max(rep.two_route_residual, rep.dual_projection_residual) <= TOL
 
 
 def test_hazard_rule_hand_increment():
@@ -301,6 +316,7 @@ def test_g_rule_trivial_control_recovers_g():
     b = projections(ext)
     rep = G_under_phi(under_phi(b, zero_phi(tree)))
     assert np.max(np.abs(rep.value - b.G.values)) <= TOL
+    assert rep.two_route_residual <= TOL
 
 
 def test_g_rule_independent_hazard_deterministic():
@@ -311,6 +327,7 @@ def test_g_rule_independent_hazard_deterministic():
     # one-step survival under the tilt: 1 - (1 + 0.5(1 - 0.4)) 0.4 = 0.48
     lvl = rep.value[tree.level_slice(2)]
     assert np.allclose(lvl, 0.48 ** 2, atol=TOL)
+    assert rep.two_route_residual <= TOL
 
 
 def looks_pseudo_stopping(rep):

@@ -22,8 +22,7 @@ from vopt.european import (PayoffSpec, ReducedHazard, constrained_snell,
 from vopt.filtration import (AdaptedProcess, StoppingTime, build_tree, evaluate_stopping,
                              node_values, shared_tree)
 from vopt.measure_change import PhiControl, density_eta, phi_pr_from_marks, validate_phi
-from vopt.random_time import (HazardSpec, cox_extend, full_price_assembly, projections,
-                              step_default_probs)
+from vopt.random_time import HazardSpec, cox_extend, full_price_assembly, projections
 
 A = build_tree({"times": [0, 1, 2], "branching": 2, "p": "uniform"})
 B = build_tree({"times": [0, 1, 2], "branching": [[3], [1, 1, 1]], "p": "uniform"})
@@ -73,7 +72,6 @@ MIXED_CALLS = {
     "full_price_assembly": lambda: full_price_assembly(
         projections(cox_extend(B, HazardSpec.constant(B, 0.3))), PAY),
     "full_price_assembly lambda": lambda: full_price_assembly(BUNDLE, PAY, lam=LAM_B),
-    "step_default_probs": lambda: step_default_probs(BUNDLE, LAM_B),
     "validate_phi": lambda: validate_phi(PHI_B, BUNDLE),
     "density_eta": lambda: density_eta(PHI_B, BUNDLE),
     "phi_pr_from_marks": lambda: phi_pr_from_marks(BUNDLE, np.linspace(-0.5, 0.5, 7), LAM_B),
@@ -91,7 +89,7 @@ def test_the_same_calls_run_on_one_tree():
     lam = AdaptedProcess(A, LAM_B.values)
     assert reduced_price_linear(lam, PAY, HZ).value.tree is A
     assert reflected_gbsde_solve("linear", lam, PAY, HZ).value.tree is A
-    assert step_default_probs(BUNDLE, lam).shape == (7,)
+    assert full_price_assembly(BUNDLE, PAY, lam=lam).reduced.tree is A
     assert density_eta(PhiControl(AdaptedProcess.constant(A, 0.1)), BUNDLE).eta.shape[1] == 3
     assert phi_pr_from_marks(BUNDLE, np.linspace(-0.5, 0.5, 7), lam).shape == (7,)
     assert constrained_snell(PAY, HZ).value.tree is A

@@ -313,7 +313,7 @@ def test_closed_form_equals_linear_under_random_sigma(seed, p_stop, scalar_lam):
     stop = rng.random(tree.n_nodes) < p_stop
     stop[tree.leaves] = True
     sigma = StoppingTime(tree, stop)
-    closed = reduced_price_closed_form(lam, pay, hz, sigma)   # asserts 1e-12 inside
+    closed = reduced_price_closed_form(lam, pay, hz, sigma)
     lin = reduced_price_linear(lam, pay, hz, sigma)
     assert np.max(np.abs(closed.value.values - lin.value.values)) <= TOL
     assert np.max(np.abs(closed.value.values

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vopt import random_time
-from vopt.errors import HazardError, IdentityError, TreeError
+from vopt.errors import HazardError, TreeError
 from vopt.filtration import AdaptedProcess, StoppingTime, backward, build_tree
 from vopt.instances import (random_extension, random_hazard_h, random_payoff,
                             random_tree)
@@ -291,8 +291,8 @@ def test_key_lemma_rejects_unpredictable_input():
 def test_key_lemma_reads_the_bundle_measure():
     # the extension and its measure come from the bundle: on the same atoms
     # under a tilted measure the formula still matches the direct
-    # G_t-expectation (asserted inside), and differs from the value under the
-    # first extension's measure
+    # G_t-expectation, and differs from the value under the first extension's
+    # measure
     rng = np.random.default_rng(16)
     tree = random_tree(rng, max_periods=3)
     ext = random_extension(rng, tree)
@@ -300,22 +300,26 @@ def test_key_lemma_reads_the_bundle_measure():
     tilted = projections(ExtendedSpace(tree, ext.leaf_row, ext.theta, w / w.sum()))
     x = AdaptedProcess(tree, rng.uniform(0, 2, tree.n_nodes))
     out = key_lemma(tilted, x, "optional")
+    direct = tilted.ext.g_condexp(x.values[ext.default_node])
+    assert np.max(np.abs(out - direct)) <= TOL
     assert out[0, 0] == pytest.approx(float(np.dot(tilted.ext.prob,
                                                    x.values[ext.default_node])), abs=1e-12)
     assert abs(out[0, 0] - key_lemma(projections(ext), x, "optional")[0, 0]) > 1e-6
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_key_lemma_nan_input_raises():
-    # a NaN residual used to slip past the `err > tol` and `spread > tol` checks
+def test_key_lemma_nan_input_reaches_the_gap():
+    # a NaN input shows in the table, so the gap to the direct conditional
+    # expectation is NaN and fails any `gap <= tol`; the predictable variant's
+    # input check reads `not spread <= tol`, so NaN raises there
     rng = np.random.default_rng(15)
     tree = random_tree(rng, max_periods=3)
     ext = random_extension(rng, tree)
     vals = rng.uniform(0, 1, tree.n_nodes)
     vals[tree.leaves[0]] = np.nan
     b = projections(ext)
-    with pytest.raises(IdentityError):
-        key_lemma(b, AdaptedProcess(tree, vals), "optional")
+    out = key_lemma(b, AdaptedProcess(tree, vals), "optional")
+    assert np.isnan(np.max(np.abs(out - ext.g_condexp(vals[ext.default_node]))))
     with pytest.raises(ValueError, match="predictable"):
         key_lemma(b, AdaptedProcess(tree, vals), "predictable")
 
@@ -416,6 +420,7 @@ def test_assembly_constant_payoffs():
     pay = PayoffSpec(AdaptedProcess.constant(tree, 1.7), AdaptedProcess.constant(tree, 1.7))
     rep = full_price_assembly(projections(ext), pay)
     assert np.max(np.abs(rep.values - 1.7)) <= TOL
+    assert rep.residual <= TOL
 
 
 def test_assembly_no_default_reduces_to_european():
@@ -427,6 +432,7 @@ def test_assembly_no_default_reduces_to_european():
     rep = full_price_assembly(projections(ext), pay)
     plain = backward(tree, pay.P.values[tree.level_slice(2)])
     assert np.max(np.abs(rep.values[:, 0] - plain[0])) <= TOL
+    assert rep.residual <= TOL
 
 
 def test_assembly_one_period_hand_value():
@@ -441,6 +447,7 @@ def test_assembly_one_period_hand_value():
     # on atoms that defaulted, the price sits at the recovery
     defaulted = ext.theta == 1
     assert np.allclose(rep.values[defaulted, 1], 1.4, atol=TOL)
+    assert rep.residual <= TOL
 
 
 def test_assembly_matches_direct_with_sigma_and_tilt():
@@ -499,3 +506,4 @@ def test_assembly_consistent_with_reduced_module():
     hz = ReducedHazard(tree, rep.delta_effective)
     again = reduced_price_linear(1.0, pay, hz)
     assert np.max(np.abs(again.value.values - rep.reduced.values)) <= TOL
+    assert rep.residual <= TOL

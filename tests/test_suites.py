@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import vopt
-from vopt import american, cli, european, filtration, instances, random_time, scenario, suites
+from vopt import (american, cli, european, filtration, instances, measure_change,
+                  random_time, scenario, suites)
 from vopt.filtration import AdaptedProcess
 from vopt.random_time import projections
 from vopt.scenario import parse_scenario, scenario_from_dict
@@ -249,3 +250,63 @@ def test_european_duality_catches_a_penalty_step_wrong_at_small_n(monkeypatch):
     res = suites.suite_european_duality(sc)
     assert res.details["monotone"] and res.details["gap_trace"][-1] <= res.tolerance
     assert not res.passed and res.max_residual > 1e3 * res.tolerance
+
+
+def _shifted_report(real, eps):
+    """``real`` with ``eps`` added to every value of the solve it returns."""
+    def shifted(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(
+            rep, value=AdaptedProcess(rep.value.tree, rep.value.values + eps))
+    return shifted
+
+
+def _shifted_tables(field, eps):
+    """``survival_tables`` with ``eps`` added to its ``field``."""
+    real = measure_change.survival_tables
+
+    def shifted(*args, **kwargs):
+        tables = real(*args, **kwargs)
+        return dataclasses.replace(tables, **{field: getattr(tables, field) + eps})
+    return shifted
+
+
+# each cross-check whose two routes come from one call: where one route is
+# shifted, which suite holds the gap, and where that suite reports it
+PLANTS = {
+    "closed form": ("european-duality", "closed_form_gap", lambda mp, eps: mp.setattr(
+        suites, "reduced_price_closed_form",
+        _shifted_report(suites.reduced_price_closed_form, eps))),
+    "key lemma": ("projections-identities", None, lambda mp, eps: mp.setattr(
+        suites, "key_lemma",
+        lambda *a, _real=suites.key_lemma: _real(*a) + eps)),
+    "assembly": ("measure-change", None, lambda mp, eps: mp.setattr(
+        european, "reduced_price_linear", _shifted_report(european.reduced_price_linear, eps))),
+    "hazard rule": ("measure-change", None, lambda mp, eps: mp.setattr(
+        measure_change, "survival_tables", _shifted_tables("GammaTilde", eps))),
+    "G rule": ("measure-change", None, lambda mp, eps: mp.setattr(
+        measure_change, "survival_tables", _shifted_tables("G", eps))),
+}
+
+
+@pytest.mark.parametrize("plant", list(PLANTS))
+@pytest.mark.parametrize("eps, identity, passes", [
+    (1e-10, None, False), (1e-10, 1e-9, True), (math.nan, 1e-9, False)],
+    ids=["default-tolerance", "looser-tolerance", "nan"])
+def test_suite_holds_the_gap_the_route_returns(monkeypatch, plant, eps, identity, passes):
+    # the route returns what it measured; only its suite compares that with
+    # tolerances.identity, and reports it rather than an error
+    name, detail, install = PLANTS[plant]
+    sc = parse_scenario(str(PACKAGED))
+    sc.suites = [name]
+    if identity is not None:
+        sc.tolerances["identity"] = identity
+    install(monkeypatch, eps)
+    (res,) = suites.run_suites(sc).results
+    assert "error" not in res.details
+    measured = res.details[detail] if detail else res.max_residual
+    if math.isnan(eps):
+        assert math.isnan(measured)
+    else:
+        assert measured == pytest.approx(eps, rel=1e-3)
+    assert res.passed is passes
